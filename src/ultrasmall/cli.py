@@ -3,7 +3,7 @@
 Subcommands: gen-cm, gen-pam, fix-parity, diameter, analyze, bounds,
 experiment. Edge lists are text files with one `u v` pair per line
 (1-based ids, self-loop as `u u`); degree files are newline-delimited
-integers. `ULTRASMALL_THREADS` sets the default worker count.
+integers. `experiment --threads N` runs the replicas in N processes.
 """
 
 import argparse
@@ -27,7 +27,7 @@ from .degrees import (
 from .cm import generate_cm
 from .pam import PamParams, generate_pam, write_pam
 from .multigraph import read_edge_list
-from .metrics import diameter, extract_core, default_threads
+from .metrics import diameter, extract_core
 from .structure import census_mkc, explore, distance_to_core
 from . import harness
 
@@ -74,7 +74,7 @@ def _cmd_fix_parity(args):
 def _cmd_diameter(args):
     graph = read_edge_list(getattr(args, "in"))
     method = "exact" if args.exact else "ifub" if args.ifub else "auto"
-    res = diameter(graph, method=method, threads=args.threads or 1)
+    res = diameter(graph, method=method)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["n", "seed", "diam", "lcc_fraction"])
     writer.writerow([graph.n, args.seed, res.diam, repr(res.component_fraction)])
@@ -193,6 +193,7 @@ def _cmd_experiment(args):
         typical_pairs=raw.get("typical_pairs", 100),
         explore_sample=raw.get("explore_sample", 1000),
         mkc_k=raw.get("mkc_k", 1),
+        replica_budget_s=raw.get("replica_budget_s"),
     )
     result = harness.run(config, threads=args.threads)
     os.makedirs(args.out, exist_ok=True)
@@ -240,7 +241,7 @@ def build_parser():
 
     p = sub.add_parser("diameter", help="exact diameter of an edge list")
     p.add_argument("--in", required=True)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None, help="has no effect")
     p.add_argument("--seed", type=int, default=0, help="echoed into the CSV")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--exact", action="store_true")
@@ -269,7 +270,7 @@ def build_parser():
     p = sub.add_parser("experiment", help="run a multi-replica experiment")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1, help="replica worker processes")
     p.add_argument("--gnuplot", action="store_true", help="also emit gnuplot data")
     p.set_defaults(fn=_cmd_experiment)
     return parser
@@ -277,8 +278,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        args.threads = default_threads()
     return args.fn(args)
 
 

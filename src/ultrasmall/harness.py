@@ -19,12 +19,7 @@ import numpy as np
 from .degrees import PowerLawSpec, sample_iid_powerlaw, fix_parity
 from .cm import generate_cm
 from .pam import PamParams, generate_pam
-from .metrics import (
-    diameter,
-    typical_distance_sample,
-    extract_core,
-    default_threads,
-)
+from .metrics import diameter, typical_distance_sample, extract_core
 from .structure import census_mkc, explore, distance_to_core
 from . import bounds as _bounds
 
@@ -221,9 +216,9 @@ def run_replica(config, size, index):
     return row
 
 
-def run(config, threads=None):
-    """Run every (size, replica) cell; deterministic given seed_base."""
-    threads = threads or default_threads()
+def run(config, threads=1):
+    """Run every (size, replica) cell, in `threads` worker processes when
+    more than one; deterministic given seed_base."""
     cells = [
         (size, i)
         for size in config.sizes

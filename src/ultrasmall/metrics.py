@@ -1,12 +1,10 @@
 """Distances, diameters, typical-distance sampling and Core extraction."""
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .multigraph import MultiGraph
 from .pam import PamGraph
 
 UNREACHED = -1
@@ -32,23 +30,34 @@ def _frontier_neighbors(indptr, nbr, frontier):
     return nbr[out_idx + np.arange(total, dtype=np.int64)]
 
 
-def _bfs_levels(graph, sources, level_cap=None):
-    """Integer distance array (UNREACHED for unseen) from a source set."""
-    dist = np.full(graph.n, UNREACHED, dtype=np.int32)
+def _bfs(graph, sources, dist):
+    """Breadth-first search from `sources` through the vertices whose
+    `dist` is UNREACHED. Marks `dist` in place and yields (level, vertices
+    newly reached at that level), the sources first at level 0. A level's
+    vertices may repeat; they are deduplicated only to build the next
+    frontier, so a consumer that stops early never pays for it."""
     frontier = np.asarray(sources, dtype=np.int64)
     dist[frontier] = 0
-    level = 0
+    yield 0, frontier
     indptr, nbr = graph.indptr, graph.nbr
-    while frontier.size:
-        if level_cap is not None and level >= level_cap:
-            break
-        level += 1
+    level = 0
+    while True:
         cand = _frontier_neighbors(indptr, nbr, frontier)
         cand = cand[dist[cand] == UNREACHED]
         if cand.size == 0:
-            break
+            return
+        level += 1
         dist[cand] = level
+        yield level, cand
         frontier = np.unique(cand)
+
+
+def _bfs_levels(graph, sources, level_cap=None):
+    """Integer distance array (UNREACHED for unseen) from a source set."""
+    dist = np.full(graph.n, UNREACHED, dtype=np.int32)
+    for level, _ in _bfs(graph, sources, dist):
+        if level_cap is not None and level >= level_cap:
+            break
     return dist
 
 
@@ -64,36 +73,19 @@ def bfs(graph, source):
     return DistanceReport(source=source, distances=distances, eccentricity=ecc)
 
 
-def _eccentricity(graph, source):
-    levels = _bfs_levels(graph, [source])
-    return int(levels.max())  # valid when graph restricted to a component
-
-
 def connected_components(graph):
-    """Label array and component sizes."""
+    """Label array and component sizes; components are numbered in the
+    order of their smallest vertex."""
     label = np.full(graph.n, -1, dtype=np.int64)
-    sizes = []
+    seen = np.full(graph.n, UNREACHED, dtype=np.int32)
+    count = 0
     for v in range(graph.n):
-        if label[v] != -1:
+        if seen[v] != UNREACHED:
             continue
-        levels = _bfs_levels(graph, [v])
-        members = levels != UNREACHED
-        members &= label == -1
-        label[members] = len(sizes)
-        sizes.append(int(members.sum()))
-    return label, np.array(sizes, dtype=np.int64)
-
-
-def _induced_subgraph(graph, vertices):
-    """Subgraph on `vertices` (bool mask) with an old-id mapping."""
-    mask = vertices
-    old_ids = np.nonzero(mask)[0]
-    new_id = np.full(graph.n, -1, dtype=np.int64)
-    new_id[old_ids] = np.arange(old_ids.size)
-    edges = graph.edges()
-    keep = mask[edges[:, 0]] & mask[edges[:, 1]]
-    sub = MultiGraph.from_edge_list(old_ids.size, new_id[edges[keep]])
-    return sub, old_ids
+        for _, reached in _bfs(graph, [v], seen):
+            label[reached] = count
+        count += 1
+    return label, np.bincount(label)
 
 
 @dataclass
@@ -104,35 +96,27 @@ class DiameterResult:
     method: str
 
 
-def _diameter_all_sources(graph):
-    best = 0
-    for v in range(graph.n):
-        best = max(best, _eccentricity(graph, v))
-    return best
+def _diameter_all_sources(graph, members):
+    return max(int(_bfs_levels(graph, [int(v)]).max()) for v in members)
 
 
-_ECC_GRAPH = None
-
-
-def _ecc_chunk(vertices):
-    g = _ECC_GRAPH
-    return max(_eccentricity(g, int(v)) for v in vertices)
-
-
-def _diameter_ifub(graph, threads=1):
-    """Exact diameter of a connected graph by iterative eccentricity
-    bounding: sweeps from high-degree reference vertices give every vertex
-    the upper bound ub(v) = min_r d(v, r) + ecc(r); vertices with
-    ub(v) > lb are resolved exactly, each resolution tightening the
-    bounds, until every eccentricity is certified <= lb."""
-    if graph.n == 1:
+def _diameter_ifub(graph, members):
+    """Exact diameter of the component `members` (sorted vertex ids) by
+    iterative eccentricity bounding: sweeps from high-degree reference
+    vertices give every member the upper bound
+    ub(v) = min_r d(v, r) + ecc(r); members with ub(v) > lb are resolved
+    exactly, each resolution tightening the bounds, until every
+    eccentricity is certified <= lb. Vertices outside the component keep
+    ub = -1 and are never candidates."""
+    if members.size == 1:
         return 0
-    by_degree = np.argsort(graph.degrees)
+    by_degree = members[np.argsort(graph.degrees[members])]
     refs = [int(v) for v in by_degree[-16:]]
     root_levels = _bfs_levels(graph, [refs[-1]])
     refs.append(int(np.argmax(root_levels)))  # double-sweep endpoint
     lb = 0
-    ub = np.full(graph.n, np.iinfo(np.int32).max, dtype=np.int64)
+    ub = np.full(graph.n, -1, dtype=np.int64)
+    ub[members] = np.iinfo(np.int32).max
     for r in dict.fromkeys(refs):
         dist = _bfs_levels(graph, [r])
         ecc = int(dist.max())
@@ -142,20 +126,6 @@ def _diameter_ifub(graph, threads=1):
         cand = np.nonzero(ub > lb)[0]
         if cand.size == 0:
             return lb
-        if threads > 1 and cand.size > 64:
-            # bulk-certify a large candidate set in parallel
-            global _ECC_GRAPH
-            _ECC_GRAPH = graph  # inherited by forked workers
-            try:
-                from concurrent.futures import ProcessPoolExecutor
-
-                chunks = [c for c in np.array_split(cand, threads * 4) if c.size]
-                with ProcessPoolExecutor(max_workers=threads) as pool:
-                    lb = max(lb, max(pool.map(_ecc_chunk, chunks)))
-            finally:
-                _ECC_GRAPH = None
-            ub[cand] = lb  # all of them were evaluated exactly
-            continue
         v = int(cand[np.argmax(ub[cand])])
         dist = _bfs_levels(graph, [v])
         ecc = int(dist.max())
@@ -164,26 +134,25 @@ def _diameter_ifub(graph, threads=1):
         ub[v] = ecc
 
 
-def diameter(graph, method="auto", threads=1):
+def diameter(graph, method="auto"):
     """Exact diameter of the largest connected component."""
     if graph.n == 0:
         raise ValueError("empty graph")
     label, sizes = connected_components(graph)
     lcc = int(np.argmax(sizes))
-    lcc_size = int(sizes[lcc])
-    sub, _ = _induced_subgraph(graph, label == lcc)
+    members = np.flatnonzero(label == lcc)
     if method == "auto":
-        method = "ifub" if sub.n > 1000 else "exact"
+        method = "ifub" if members.size > 1000 else "exact"
     if method == "exact":
-        diam = _diameter_all_sources(sub)
+        diam = _diameter_all_sources(graph, members)
     elif method == "ifub":
-        diam = _diameter_ifub(sub, threads=threads)
+        diam = _diameter_ifub(graph, members)
     else:
         raise ValueError(f"unknown method {method!r}")
     return DiameterResult(
         diam=diam,
-        component_fraction=lcc_size / graph.n,
-        lcc_size=lcc_size,
+        component_fraction=members.size / graph.n,
+        lcc_size=members.size,
         method=method,
     )
 
@@ -194,33 +163,19 @@ def typical_distance_sample(graph, pairs, seed):
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
     rng = np.random.default_rng(seed)
-    out = np.empty(pairs, dtype=np.float64)
+    out = np.full(pairs, np.inf)
+    dist = np.empty(graph.n, dtype=np.int32)
     for i in range(pairs):
         a = int(rng.integers(graph.n))
         b = int(rng.integers(graph.n))
         if a == b:
             out[i] = 0.0
             continue
-        # level-capped BFS with early exit once b is reached
-        dist = np.full(graph.n, UNREACHED, dtype=np.int32)
-        dist[a] = 0
-        frontier = np.array([a], dtype=np.int64)
-        level = 0
-        found = False
-        while frontier.size:
-            level += 1
-            cand = _frontier_neighbors(graph.indptr, graph.nbr, frontier)
-            cand = cand[dist[cand] == UNREACHED]
-            if cand.size == 0:
-                break
-            dist[cand] = level
-            if dist[b] != UNREACHED:
+        dist.fill(UNREACHED)
+        for level, _ in _bfs(graph, [a], dist):
+            if dist[b] != UNREACHED:  # early exit once b is reached
                 out[i] = level
-                found = True
                 break
-            frontier = np.unique(cand)
-        if not found:
-            out[i] = np.inf
     return out
 
 
@@ -275,12 +230,3 @@ def core_diameter(graph, core):
         best = max(best, int(levels[member_mask].max()))
     return int(best)
 
-
-def default_threads():
-    env = os.environ.get("ULTRASMALL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1

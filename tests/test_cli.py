@@ -185,3 +185,25 @@ def test_experiment_subcommand(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert all(r["error"] == "" for r in rows)
+
+
+def test_experiment_passes_replica_budget(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "model": "cm",
+                "params": {"tau": 2.5, "d_min": 3},
+                "sizes": [80],
+                "replicas": 1,
+                "seed_base": 11,
+                "measurements": ["diameter"],
+                "replica_budget_s": 0.0,
+            }
+        )
+    )
+    out_dir = tmp_path / "results"
+    assert main(["experiment", "--config", str(cfg), "--out", str(out_dir)]) == 0
+    with open(out_dir / "rows.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["timed_out"] for r in rows] == ["1"]

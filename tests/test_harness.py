@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +60,42 @@ def test_parallel_run_matches_serial():
     serial = harness.csv_bytes(harness.run(cfg, threads=1))
     parallel = harness.csv_bytes(harness.run(cfg, threads=2))
     assert serial == parallel
+
+
+SPAWN_SCRIPT = """
+import multiprocessing
+import sys
+
+from ultrasmall import harness
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    cfg = harness.ExperimentConfig(
+        model="cm",
+        params={"tau": 2.5, "d_min": 3},
+        sizes=(80,),
+        replicas=2,
+        seed_base=1000,
+        measurements=("diameter", "typical"),
+    )
+    sys.stdout.buffer.write(harness.csv_bytes(harness.run(cfg, threads=2)))
+"""
+
+
+def test_parallel_run_under_spawn_matches_serial():
+    # the replica pool must not depend on state inherited by fork
+    cfg = small_config(replicas=2, sizes=(80,))
+    serial = harness.csv_bytes(harness.run(cfg, threads=1))
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", SPAWN_SCRIPT],
+        env=env,
+        capture_output=True,
+        check=True,
+        timeout=300,
+    )
+    assert proc.stdout == serial
 
 
 def test_errors_recorded_per_row_not_raised():

@@ -16,7 +16,6 @@ from ultrasmall.metrics import (
     typical_distance_sample,
     extract_core,
     core_diameter,
-    default_threads,
 )
 
 
@@ -58,6 +57,13 @@ def test_diameter_matches_floyd_warshall(index):
     g = random_small_graph(index)
     oracle = floyd_warshall(g)
     labels, sizes = connected_components(g)
+    # components are the classes of finite distance, numbered in the order
+    # of their smallest vertex
+    assert np.array_equal(labels[:, None] == labels[None, :], np.isfinite(oracle))
+    seen, first = np.unique(labels, return_index=True)
+    assert np.array_equal(seen, np.arange(sizes.size))
+    assert np.all(np.diff(first) > 0)
+    assert np.array_equal(sizes, np.bincount(labels))
     lcc = int(np.argmax(sizes))
     inside = labels == lcc
     sub = oracle[np.ix_(inside, inside)]
@@ -67,6 +73,31 @@ def test_diameter_matches_floyd_warshall(index):
         assert res.diam == expect
         assert res.lcc_size == sizes[lcc]
         assert res.component_fraction == pytest.approx(sizes[lcc] / g.n)
+
+
+def test_diameter_ignores_hubs_and_paths_outside_lcc():
+    # component 0..30: a star on 0 with leaves 1..20 and a tail 21..30, so it
+    # holds the highest degree (21) and a diameter of 11
+    edges = [(0, v) for v in range(1, 21)] + [(0, 21)]
+    edges += [(v, v + 1) for v in range(21, 30)]
+    # the LCC 31..78: a 12-cycle whose vertices carry 3 leaves each,
+    # degree at most 5 and diameter 8
+    cycle = list(range(31, 43))
+    edges += [(u, cycle[(i + 1) % 12]) for i, u in enumerate(cycle)]
+    leaf = 43
+    for u in cycle:
+        for _ in range(3):
+            edges.append((u, leaf))
+            leaf += 1
+    g = MultiGraph.from_edge_list(leaf, edges)
+    oracle = floyd_warshall(g)
+    lcc = np.arange(31, leaf)
+    expect = int(oracle[np.ix_(lcc, lcc)].max())
+    assert expect == 8
+    for method in ("exact", "ifub"):
+        res = diameter(g, method=method)
+        assert res.diam == expect
+        assert res.lcc_size == lcc.size
 
 
 def test_diameter_methods_agree_medium():
@@ -143,12 +174,3 @@ def test_core_diameter_on_hand_graph():
     class Split:
         members = np.array([0, 3])
     assert core_diameter(g2, Split()) == math.inf
-
-
-def test_default_threads_env(monkeypatch):
-    monkeypatch.delenv("ULTRASMALL_THREADS", raising=False)
-    assert default_threads() == 1
-    monkeypatch.setenv("ULTRASMALL_THREADS", "6")
-    assert default_threads() == 6
-    monkeypatch.setenv("ULTRASMALL_THREADS", "junk")
-    assert default_threads() == 1
