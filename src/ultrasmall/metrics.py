@@ -18,38 +18,64 @@ class DistanceReport:
 
 
 def _frontier_neighbors(indptr, nbr, frontier):
-    """Concatenated neighbor lists of all frontier vertices (vectorized
-    CSR gather)."""
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return nbr[:0]
-    # offsets[i] = position where frontier[i]'s neighbors start in output
-    out_idx = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-    return nbr[out_idx + np.arange(total, dtype=np.int64)]
+    """Concatenated neighbor lists of the (non-empty) frontier's vertices
+    (vectorized CSR gather)."""
+    ends = indptr[frontier + 1]
+    counts = ends - indptr[frontier]
+    # output j, when it is one of frontier[i]'s, reads slot
+    # j + ends[i] - csum[i]
+    csum = np.cumsum(counts)
+    return nbr[np.repeat(ends - csum, counts) + np.arange(csum[-1])]
+
+
+def _step(graph, frontier, dist, level):
+    """Mark the unreached neighbors of `frontier`, the vertices at
+    `level`, with `level + 1` and return them, sorted and unique. Only
+    `dist == UNREACHED` is read, so `dist` may hold any earlier search.
+
+    Small frontiers gather their neighbor lists (top-down). A frontier
+    whose half-edges pass 1/8 of the graph's instead has every vertex scan
+    its own neighbor list for a frontier member (bottom-up; Beamer,
+    Asanovic & Patterson, SC'12): on these graphs the frontier floods the
+    graph within a few levels, and the scan then costs less than the
+    gather."""
+    indptr, nbr = graph.indptr, graph.nbr
+    n = graph.n
+    # the size test keeps the degree sum off the many tiny frontiers
+    if frontier.size * 64 > n and (
+        int((indptr[frontier + 1] - indptr[frontier]).sum()) * 8 > nbr.size
+    ):
+        infront = np.zeros(n, dtype=bool)
+        infront[frontier] = True
+        # reduceat misreads empty segments, so only vertices with slots
+        owners = np.flatnonzero(indptr[1:] > indptr[:-1])
+        hit = np.logical_or.reduceat(infront[nbr], indptr[owners])
+        reached = owners[hit & (dist[owners] == UNREACHED)]
+        dist[reached] = level + 1
+        return reached
+    cand = _frontier_neighbors(indptr, nbr, frontier)
+    cand = cand[dist[cand] == UNREACHED]
+    dist[cand] = level + 1
+    if cand.size <= 1:
+        return cand
+    if cand.size * 4 <= n:
+        return np.unique(cand)
+    fresh = np.zeros(n, dtype=bool)
+    fresh[cand] = True
+    return np.flatnonzero(fresh)
 
 
 def _bfs(graph, sources, dist):
     """Breadth-first search from `sources` through the vertices whose
     `dist` is UNREACHED. Marks `dist` in place and yields (level, vertices
-    newly reached at that level), the sources first at level 0. A level's
-    vertices may repeat; they are deduplicated only to build the next
-    frontier, so a consumer that stops early never pays for it."""
+    newly reached at that level), the sources first at level 0."""
     frontier = np.asarray(sources, dtype=np.int64)
     dist[frontier] = 0
-    yield 0, frontier
-    indptr, nbr = graph.indptr, graph.nbr
     level = 0
-    while True:
-        cand = _frontier_neighbors(indptr, nbr, frontier)
-        cand = cand[dist[cand] == UNREACHED]
-        if cand.size == 0:
-            return
+    while frontier.size:
+        yield level, frontier
+        frontier = _step(graph, frontier, dist, level)
         level += 1
-        dist[cand] = level
-        yield level, cand
-        frontier = np.unique(cand)
 
 
 def _bfs_levels(graph, sources, level_cap=None):
@@ -88,20 +114,23 @@ def connected_components(graph):
     return label, np.bincount(label)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiameterResult:
     diam: int
     component_fraction: float
     lcc_size: int
     method: str
+    sweeps: int  # BFS sweeps the method ran
 
 
 def _diameter_all_sources(graph, members):
-    return max(int(_bfs_levels(graph, [int(v)]).max()) for v in members)
+    """(diameter, sweeps) of the component `members`."""
+    diam = max(int(_bfs_levels(graph, [int(v)]).max()) for v in members)
+    return diam, members.size
 
 
 def _diameter_ifub(graph, members):
-    """Exact diameter of the component `members` (sorted vertex ids) by
+    """(diameter, sweeps) of the component `members` (sorted vertex ids) by
     iterative eccentricity bounding: sweeps from high-degree reference
     vertices give every member the upper bound
     ub(v) = min_r d(v, r) + ecc(r); members with ub(v) > lb are resolved
@@ -109,7 +138,7 @@ def _diameter_ifub(graph, members):
     eccentricity is certified <= lb. Vertices outside the component keep
     ub = -1 and are never candidates."""
     if members.size == 1:
-        return 0
+        return 0, 0
     by_degree = members[np.argsort(graph.degrees[members])]
     refs = [int(v) for v in by_degree[-16:]]
     root_levels = _bfs_levels(graph, [refs[-1]])
@@ -117,7 +146,9 @@ def _diameter_ifub(graph, members):
     lb = 0
     ub = np.full(graph.n, -1, dtype=np.int64)
     ub[members] = np.iinfo(np.int32).max
-    for r in dict.fromkeys(refs):
+    refs = dict.fromkeys(refs)
+    sweeps = 1 + len(refs)
+    for r in refs:
         dist = _bfs_levels(graph, [r])
         ecc = int(dist.max())
         lb = max(lb, ecc)
@@ -125,9 +156,10 @@ def _diameter_ifub(graph, members):
     while True:
         cand = np.nonzero(ub > lb)[0]
         if cand.size == 0:
-            return lb
+            return lb, sweeps
         v = int(cand[np.argmax(ub[cand])])
         dist = _bfs_levels(graph, [v])
+        sweeps += 1
         ecc = int(dist.max())
         lb = max(lb, ecc)
         np.minimum(ub, dist.astype(np.int64) + ecc, out=ub)
@@ -144,9 +176,9 @@ def diameter(graph, method="auto"):
     if method == "auto":
         method = "ifub" if members.size > 1000 else "exact"
     if method == "exact":
-        diam = _diameter_all_sources(graph, members)
+        diam, sweeps = _diameter_all_sources(graph, members)
     elif method == "ifub":
-        diam = _diameter_ifub(graph, members)
+        diam, sweeps = _diameter_ifub(graph, members)
     else:
         raise ValueError(f"unknown method {method!r}")
     return DiameterResult(
@@ -154,6 +186,7 @@ def diameter(graph, method="auto"):
         component_fraction=members.size / graph.n,
         lcc_size=members.size,
         method=method,
+        sweeps=sweeps,
     )
 
 
@@ -164,19 +197,44 @@ def typical_distance_sample(graph, pairs, seed):
         raise ValueError("pairs must be >= 1")
     rng = np.random.default_rng(seed)
     out = np.full(pairs, np.inf)
-    dist = np.empty(graph.n, dtype=np.int32)
+    da = np.empty(graph.n, dtype=np.int32)
+    db = np.empty(graph.n, dtype=np.int32)
     for i in range(pairs):
         a = int(rng.integers(graph.n))
         b = int(rng.integers(graph.n))
-        if a == b:
-            out[i] = 0.0
-            continue
-        dist.fill(UNREACHED)
-        for level, _ in _bfs(graph, [a], dist):
-            if dist[b] != UNREACHED:  # early exit once b is reached
-                out[i] = level
-                break
+        out[i] = _pair_distance(graph, a, b, da, db)
     return out
+
+
+def _pair_distance(graph, a, b, da, db):
+    """Hop distance from `a` to `b` (inf when disconnected) by balanced
+    bidirectional BFS, which is sublinear on power-law graphs (Borassi,
+    Crescenzi & Trevisan, SODA'17). `da` and `db` are scratch arrays.
+
+    Each round expands the side whose frontier has fewer half-edges.
+    Before a round the balls of radius la = level[0] around a and
+    lb = level[1] around b are disjoint, so d(a, b) > la + lb - 1 (else a
+    shortest path crosses both); the first new level that meets the other
+    ball gives d(a, b) <= la + lb, hence equality."""
+    if a == b:
+        return 0
+    indptr = graph.indptr
+    dist = (da, db)
+    front = [np.array([a]), np.array([b])]
+    mass = [indptr[a + 1] - indptr[a], indptr[b + 1] - indptr[b]]
+    level = [0, 0]
+    da.fill(UNREACHED)
+    db.fill(UNREACHED)
+    da[a] = db[b] = 0
+    while True:
+        s = 0 if mass[0] <= mass[1] else 1
+        f = front[s] = _step(graph, front[s], dist[s], level[s])
+        level[s] += 1
+        if f.size == 0:
+            return math.inf
+        if np.any(dist[1 - s][f] != UNREACHED):
+            return level[0] + level[1]
+        mass[s] = (indptr[f + 1] - indptr[f]).sum()
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Distance measurement against an independent Floyd-Warshall oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from ultrasmall.cm import generate_cm
 from ultrasmall.pam import PamParams, generate_pam
 from ultrasmall.multigraph import MultiGraph
 from ultrasmall.metrics import (
+    UNREACHED,
+    _bfs_levels,
     bfs,
     connected_components,
     diameter,
@@ -122,6 +125,11 @@ def test_connected_components_path_plus_isolated():
     assert sorted(sizes.tolist()) == [1, 3]
     assert labels[0] == labels[1] == labels[2]
     assert labels[3] != labels[0]
+    # isolated vertex 1 has an empty slot range that starts at vertex 2's
+    # first slot, whose neighbor is the source
+    g = MultiGraph.from_edge_list(3, [(2, 0)])
+    assert bfs(g, 0).distances.tolist() == [0.0, math.inf, 1.0]
+    assert connected_components(g)[0].tolist() == [0, 1, 0]
 
 
 def test_typical_distance_sample_values():
@@ -134,6 +142,103 @@ def test_typical_distance_sample_values():
     for d in dists:
         a, b = int(rng.integers(g.n)), int(rng.integers(g.n))
         assert d == oracle[a, b]
+
+
+def test_typical_distance_sample_matches_floyd_warshall():
+    zeros = infinite = 0
+    for index in range(12):
+        g = random_small_graph(index)
+        oracle = floyd_warshall(g)
+        dists = typical_distance_sample(g, 100, index)
+        rng = np.random.default_rng(index)
+        for d in dists:
+            a, b = int(rng.integers(g.n)), int(rng.integers(g.n))
+            assert d == oracle[a, b]
+        zeros += int(np.sum(dists == 0))
+        infinite += int(np.sum(np.isinf(dists)))
+    assert zeros > 0 and infinite > 0
+
+
+def test_typical_distance_sample_matches_bfs_on_many_components():
+    spec = PowerLawSpec(tau=2.5, d_min=1, n=3000)
+    g = generate_cm(fix_parity(sample_iid_powerlaw(spec, 4)), 4)
+    assert connected_components(g)[1].size > 100
+    dists = typical_distance_sample(g, 200, 9)
+    rng = np.random.default_rng(9)
+    for d in dists:
+        a, b = int(rng.integers(g.n)), int(rng.integers(g.n))
+        level = _bfs_levels(g, [a])[b]
+        assert d == (math.inf if level == UNREACHED else level)
+    assert np.isinf(dists).any() and dists[np.isfinite(dists)].max() >= 5
+
+
+def _scipy_levels(graph, sources):
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    edges = graph.edges()
+    adj = sparse.coo_matrix(
+        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(graph.n, graph.n)
+    ).tocsr()
+    dist = csgraph.shortest_path(
+        adj, directed=False, unweighted=True, indices=sources
+    ).min(axis=0)
+    return np.where(np.isinf(dist), UNREACHED, dist).astype(np.int64)
+
+
+def _cm_and_pam_view(kind):
+    if kind == "cm":
+        spec = PowerLawSpec(tau=2.5, d_min=3, n=5000)
+        g = generate_cm(fix_parity(sample_iid_powerlaw(spec, 12)), 12)
+        return g, extract_core(g, spec, sigma=2.2)
+    pam = generate_pam(PamParams(2, -1.0), 5000, seed=12)
+    return pam.undirected_view(), extract_core(pam, PamParams(2, -1.0), sigma=2.2)
+
+
+@pytest.mark.parametrize("kind", ["cm", "pam"])
+def test_bfs_levels_bottom_up_matches_scipy(kind):
+    g, core = _cm_and_pam_view(kind)
+    assert core.members.size >= 2
+    hub = int(np.argmax(g.degrees))
+    for sources in ([hub], [0], core.members):
+        expect = _scipy_levels(g, np.asarray(sources))
+        assert np.array_equal(_bfs_levels(g, sources), expect)
+        capped = np.where(expect <= 2, expect, UNREACHED)
+        assert np.array_equal(_bfs_levels(g, sources, level_cap=2), capped)
+        # some level's frontier is large enough for the bottom-up step:
+        # more than n/64 vertices holding more than 1/8 of the half-edges
+        assert any(
+            (expect == level).sum() * 64 > g.n
+            and g.degrees[expect == level].sum() * 8 > g.num_half_edges
+            for level in range(int(expect.max()))
+        )
+
+
+def test_shuffled_long_path():
+    n = 20000
+    order = np.random.default_rng(1).permutation(n)  # the path's vertices
+    g = MultiGraph.from_edge_list(n, np.column_stack((order[:-1], order[1:])))
+    assert connected_components(g)[1].tolist() == [n]
+    assert diameter(g, "ifub").diam == n - 1
+    position = np.argsort(order)
+    dists = typical_distance_sample(g, 5, 2)
+    rng = np.random.default_rng(2)
+    for d in dists:
+        a, b = int(rng.integers(n)), int(rng.integers(n))
+        assert d == abs(int(position[a]) - int(position[b]))
+
+
+def test_diameter_sweep_counts():
+    spec = PowerLawSpec(tau=2.5, d_min=3, n=5000)
+    cm = generate_cm(fix_parity(sample_iid_powerlaw(spec, 12)), 12)
+    pam = generate_pam(PamParams(2, -1.0), 5000, seed=12).undirected_view()
+    # a change of iFUB's references or candidate order moves these counts
+    assert diameter(cm, "ifub").sweeps == 63
+    assert diameter(pam, "ifub").sweeps == 45
+    small = random_small_graph(4)
+    res = diameter(small, "exact")
+    assert res.sweeps == res.lcc_size
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.sweeps = 0
 
 
 def test_extract_core_cm_threshold():
