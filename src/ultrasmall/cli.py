@@ -9,7 +9,6 @@ integers. `experiment --threads N` runs the replicas in N processes.
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -27,6 +26,7 @@ from .degrees import (
 from .cm import generate_cm
 from .pam import PamParams, generate_pam, write_pam
 from .multigraph import read_edge_list
+from .textio import write_rows
 from .metrics import diameter, extract_core
 from .structure import census_mkc, explore, distance_to_core
 from . import harness
@@ -86,10 +86,8 @@ def _cmd_analyze(args):
     spec = PowerLawSpec(tau=args.tau, d_min=args.dmin, n=graph.n)
     if args.what == "mkc":
         cen = census_mkc(graph, spec, args.k if args.k is not None else 1)
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["vertex"])
-        for v in cen.members:
-            writer.writerow([v + 1])
+        sys.stdout.write("vertex\n")
+        write_rows(sys.stdout, "%d\n", np.asarray(cen.members, dtype=np.int64) + 1)
         print(
             json.dumps({"k": args.k, "count": cen.count, "i_k": cen.i_k}),
             file=sys.stderr,
@@ -97,11 +95,14 @@ def _cmd_analyze(args):
         return 0
     core = extract_core(graph, spec, args.sigma)
     if args.what == "core-dist":
-        dtc = distance_to_core(graph, core)
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["vertex", "dist_to_core"])
-        for v, d in enumerate(dtc.distances):
-            writer.writerow([v + 1, "inf" if math.isinf(d) else int(d)])
+        dist = distance_to_core(graph, core).distances
+        unreached = np.isinf(dist)
+        rows = np.empty((graph.n, 2), dtype=object)
+        rows[:, 0] = np.arange(1, graph.n + 1)
+        rows[:, 1] = np.where(unreached, 0, dist).astype(np.int64)
+        rows[unreached, 1] = "inf"
+        sys.stdout.write("vertex,dist_to_core\n")
+        write_rows(sys.stdout, "%s,%s\n", rows)
         return 0
     if args.what == "explore":
         consts = _bounds.asymptotic_constants(spec)

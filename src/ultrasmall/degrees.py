@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .textio import read_rows, write_rows
+
 
 @dataclass(frozen=True)
 class PowerLawSpec:
@@ -180,11 +182,11 @@ def fix_parity(seq):
 def write_degrees(path, seq):
     """Serialize as newline-delimited integers."""
     with open(path, "w") as fh:
-        for d in seq.degrees:
-            fh.write(f"{d}\n")
+        write_rows(fh, "%d\n", seq.degrees)
 
 
 def read_degrees(path):
+    """One integer per line; comment and blank lines are skipped, any
+    other line raises ValueError."""
     with open(path) as fh:
-        degrees = [int(line) for line in fh if line.strip()]
-    return DegreeSequence(degrees)
+        return DegreeSequence(read_rows(fh.read(), 1)[:, 0])

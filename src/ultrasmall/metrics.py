@@ -141,15 +141,16 @@ def _diameter_ifub(graph, members):
         return 0, 0
     by_degree = members[np.argsort(graph.degrees[members])]
     refs = [int(v) for v in by_degree[-16:]]
-    root_levels = _bfs_levels(graph, [refs[-1]])
+    root = refs[-1]
+    root_levels = _bfs_levels(graph, [root])
     refs.append(int(np.argmax(root_levels)))  # double-sweep endpoint
     lb = 0
     ub = np.full(graph.n, -1, dtype=np.int64)
     ub[members] = np.iinfo(np.int32).max
     refs = dict.fromkeys(refs)
-    sweeps = 1 + len(refs)
+    sweeps = len(refs)
     for r in refs:
-        dist = _bfs_levels(graph, [r])
+        dist = root_levels if r == root else _bfs_levels(graph, [r])
         ecc = int(dist.max())
         lb = max(lb, ecc)
         np.minimum(ub, dist.astype(np.int64) + ecc, out=ub)
@@ -273,18 +274,24 @@ def core_diameter(graph, core):
 
     `graph` must be a MultiGraph (pass the undirected view for PAM);
     raises on an empty core, returns inf if the core is disconnected in
-    the ambient graph.
+    the ambient graph. Each member's search stops at the level that
+    reaches the last member.
     """
     if core.members.size == 0:
         raise ValueError("empty core: diameter undefined")
-    best = 0.0
-    member_mask = np.zeros(graph.n, dtype=bool)
-    member_mask[core.members] = True
+    is_member = np.zeros(graph.n, dtype=bool)
+    is_member[core.members] = True
+    size = int(np.count_nonzero(is_member))
+    best = 0
+    dist = np.empty(graph.n, dtype=np.int32)
     for v in core.members:
-        levels = _bfs_levels(graph, [int(v)])
-        reached = levels != UNREACHED
-        if not np.all(reached[member_mask]):
+        dist.fill(UNREACHED)
+        left = size
+        for level, reached in _bfs(graph, [int(v)], dist):
+            left -= int(np.count_nonzero(is_member[reached]))
+            if left == 0:
+                best = max(best, level)
+                break
+        else:
             return math.inf
-        best = max(best, int(levels[member_mask].max()))
-    return int(best)
-
+    return best

@@ -7,7 +7,14 @@ with. A self-loop pairs two slots of the same vertex and therefore
 contributes 2 to its degree.
 """
 
+import re
+
 import numpy as np
+
+from .textio import read_rows, write_rows
+
+# a `# n <count>` comment; the search starts at the literal `#`
+_N_HEADER = re.compile(r"#[^\S\n]*n[^\S\n]+(\S+)[^\S\n]*$", re.M)
 
 
 class MultiGraph:
@@ -104,8 +111,7 @@ class MultiGraph:
         keeps isolated vertices recoverable."""
         with open(path, "w") as fh:
             fh.write(f"# n {self.n}\n")
-            for u, v in self.edges():
-                fh.write(f"{u + 1} {v + 1}\n")
+            write_rows(fh, "%d %d\n", self.edges() + 1)
 
     def __repr__(self):
         return f"MultiGraph(n={self.n}, edges={self.num_edges})"
@@ -116,20 +122,19 @@ def write_edge_list(graph, path):
 
 
 def read_edge_list(path):
-    n = None
-    edges = []
+    """Inverse of `write_edge_list`. n is the last `# n <count>` comment
+    line's count, else 1 + the largest id; other comment lines and blank
+    lines are skipped, and a line that is not two integers raises
+    ValueError."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) == 2 and parts[0] == "n":
-                    n = int(parts[1])
-                continue
-            u, v = line.split()
-            edges.append((int(u) - 1, int(v) - 1))
+        text = fh.read()
+    n = None
+    for header in _N_HEADER.finditer(text):
+        # only a `#` that opens its line starts a header
+        if text[text.rfind("\n", 0, header.start()) + 1 : header.start()].strip():
+            continue
+        n = int(header.group(1))
+    edges = read_rows(text, 2) - 1
     if n is None:
-        n = 1 + max((max(u, v) for u, v in edges), default=-1)
+        n = 1 + int(edges.max()) if edges.size else 0
     return MultiGraph.from_edge_list(n, edges)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .multigraph import MultiGraph
+from .textio import read_rows, write_rows
 
 
 @dataclass(frozen=True)
@@ -223,25 +224,27 @@ def xi_key(graph_or_xi):
 
 
 def write_pam(path, graph):
-    """Text table of (w, j, xi_{w,j}) triples, 1-based."""
+    """Text table of (w, j, xi_{w,j}) triples, 1-based, under a
+    `# t <t> m <m>` header."""
+    t, m = graph.t, graph.m
+    rows = np.column_stack(
+        (
+            np.repeat(np.arange(1, t + 1), m),
+            np.tile(np.arange(1, m + 1), t),
+            graph.xi.ravel(),
+        )
+    )
     with open(path, "w") as fh:
-        fh.write(f"# t {graph.t} m {graph.m}\n")
-        for w in range(1, graph.t + 1):
-            for j in range(1, graph.m + 1):
-                fh.write(f"{w} {j} {graph.xi[w - 1, j - 1]}\n")
+        fh.write(f"# t {t} m {m}\n")
+        write_rows(fh, "%d %d %d\n", rows)
 
 
 def read_pam(path, params):
-    triples = []
+    """Inverse of `write_pam`: t is the largest w; comment and blank lines
+    are skipped, and a line that is not three integers raises ValueError."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            w, j, x = map(int, line.split())
-            triples.append((w, j, x))
-    t = max(w for w, _, _ in triples)
+        w, j, x = read_rows(fh.read(), 3).T
+    t = int(w.max())
     xi = np.zeros((t, params.m), dtype=np.int32)
-    for w, j, x in triples:
-        xi[w - 1, j - 1] = x
+    xi[w - 1, j - 1] = x
     return PamGraph(params=params, t=t, xi=xi)

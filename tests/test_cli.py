@@ -1,13 +1,20 @@
 """End-to-end CLI subcommand coverage via main()."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from ultrasmall.cli import main
-from ultrasmall.degrees import read_degrees, write_degrees, DegreeSequence
+from ultrasmall.degrees import (
+    DegreeSequence,
+    PowerLawSpec,
+    read_degrees,
+    sample_iid_powerlaw,
+    write_degrees,
+)
 from ultrasmall.multigraph import read_edge_list
 from ultrasmall.pam import PamParams, read_pam
 
@@ -207,3 +214,49 @@ def test_experiment_passes_replica_budget(tmp_path):
     with open(out_dir / "rows.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["timed_out"] for r in rows] == ["1"]
+
+
+# SHA-256 of the files and CSV bodies the package writes for fixed seeds:
+# any change of an output byte (number spelling, line order, headers, the
+# seed -> graph map) fails here
+PINNED_DIGESTS = {
+    "degrees.txt": "22a641545b10e6f0fb851a4a6051a5f88310f6d1bbc6eb0fc2595223dcbb7691",
+    "degrees_even.txt": "31eb7a4c0df6a6b3d5df936a1c1dcae2bf6a3244349c3cc34c877cbefbe10eff",
+    "cm.txt": "4ffae11d8ca9478db03225c76b54cf5548e14a0cded975f88160a96eb42fa920",
+    "pam_xi.txt": "8d6a53d482993a0e1428667cb6cb43dc8a14673b41e77e72615737a65e85ae2d",
+    "pam_edges.txt": "0170b968c96d3f87f7634b0e5d2811f5c7e5570579b95516dee966f8f538111d",
+    "core-dist.csv": "7f150a482eaa0a2e9f8f4daf9efffd1e5cbd0130d77410e258a0ad1e265f4333",
+    "mkc.csv": "b42fe1187ad8609719b23b227efb17e15919a9c1584856ac7074ea6e53d880d6",
+}
+
+
+def test_output_bytes_are_pinned(tmp_path, capsys):
+    def path(name):
+        return str(tmp_path / name)
+
+    # d_min = 1 leaves vertices out of reach of the core: `inf` cells
+    seq = sample_iid_powerlaw(PowerLawSpec(tau=2.5, d_min=1, n=1000), 5)
+    write_degrees(path("degrees.txt"), seq)
+    pam = ["gen-pam", "--m", "2", "--delta", "-1.0", "--t", "1000", "--seed", "6"]
+    for argv in (
+        ["fix-parity", "--in", path("degrees.txt"), "--out", path("degrees_even.txt")],
+        ["gen-cm", "--tau", "2.5", "--dmin", "1", "--n", "1000", "--seed", "5",
+         "--degrees", path("degrees_even.txt"), "--out", path("cm.txt")],
+        pam + ["--out", path("pam_xi.txt")],
+        pam + ["--format", "edgelist", "--out", path("pam_edges.txt")],
+    ):
+        assert main(argv) == 0
+    outputs = {name: (tmp_path / name).read_bytes() for name in PINNED_DIGESTS
+               if name.endswith(".txt")}
+    capsys.readouterr()
+    analyze = ["analyze", "--in", path("cm.txt"), "--tau", "2.5"]
+    assert main(analyze + ["--what", "core-dist", "--dmin", "1"]) == 0
+    outputs["core-dist.csv"] = capsys.readouterr().out.encode()
+    assert main(analyze + ["--what", "mkc", "--dmin", "2", "--k", "1"]) == 0
+    outputs["mkc.csv"] = capsys.readouterr().out.encode()
+    assert b",inf\n" in outputs["core-dist.csv"]
+    assert b",0\n" in outputs["core-dist.csv"]
+    digests = {
+        name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()
+    }
+    assert digests == PINNED_DIGESTS

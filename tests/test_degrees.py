@@ -105,3 +105,19 @@ def test_degrees_io_roundtrip(tmp_path):
     path = tmp_path / "deg.txt"
     write_degrees(path, seq)
     assert read_degrees(path) == seq
+
+
+@pytest.mark.parametrize("body", ["3 4\n", "3 4 5\n", "x\n", "3.0\n", "3\n4 5\n"])
+def test_read_degrees_rejects_malformed_lines(tmp_path, body):
+    path = tmp_path / "deg.txt"
+    path.write_text("3\n" + body)
+    with pytest.raises(ValueError):
+        read_degrees(path)
+
+
+def test_read_degrees_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "deg.txt"
+    path.write_text("# degrees\n3\n\n# a comment\n  4\n   \n5\n")
+    assert read_degrees(path) == DegreeSequence([3, 4, 5])
+    path.write_text("# no degrees\n")
+    assert read_degrees(path).n == 0

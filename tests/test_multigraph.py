@@ -77,3 +77,52 @@ def test_matching_key_distinguishes_pairings():
     c = MultiGraph.from_pairs([2, 2], [(2, 0), (3, 1)])
     assert a.matching_key() != b.matching_key()
     assert a.matching_key() == c.matching_key()
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["1\n", "1 2 3\n", "1 x\n", "1 2\n3\n", "1 2\n3 4 5\n", "1 2\n2 3.5\n",
+     "1 2 3\n4 5 6\n", "# n x\n1 2\n"],
+)
+def test_read_edge_list_rejects_malformed_lines(tmp_path, body):
+    path = tmp_path / "bad.txt"
+    path.write_text("# n 9\n" + body)
+    with pytest.raises(ValueError):
+        read_edge_list(path)
+
+
+def test_read_edge_list_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text(
+        "# n 6\n1 2\n\n# a comment\n   \n  #\tn  7\n2\t3  # n 8\n"
+        "# n 9 words\n4 4\n\n"
+    )
+    g = read_edge_list(path)
+    # n comes from the last comment line that is `# n <count>` alone
+    assert g.n == 7
+    assert g.edges().tolist() == [[0, 1], [1, 2], [3, 3]]
+
+
+def test_read_edge_list_header_only(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("# n 7\n")
+    g = read_edge_list(path)
+    assert g.n == 7 and g.num_edges == 0
+    assert g.degrees.tolist() == [0] * 7
+    path.write_text("")
+    assert read_edge_list(path).n == 0
+
+
+def test_edge_list_roundtrip_self_loops_and_multi_edges(tmp_path):
+    edges = [(0, 0), (1, 2), (1, 2), (2, 1), (3, 3), (3, 3), (0, 4)]
+    g = MultiGraph.from_edge_list(6, edges)
+    first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+    g.write_edge_list(first)
+    back = read_edge_list(first)
+    back.write_edge_list(second)
+    assert first.read_bytes() == second.read_bytes()
+    assert back.n == 6
+    assert np.array_equal(back.degrees, [3, 3, 3, 4, 1, 0])
+    assert sorted(map(tuple, np.sort(back.edges(), axis=1).tolist())) == sorted(
+        map(tuple, np.sort(edges, axis=1).tolist())
+    )

@@ -119,3 +119,29 @@ def test_first_vertex_forced_self_loops():
         assert np.all(g.xi[0] == 1)
         for outcome, _ in enumerate_pam_outcomes(params, 2):
             assert outcome[: params.m] == (1,) * params.m
+
+
+@pytest.mark.parametrize("body", ["1 1\n", "1 1 1 1\n", "1 1 x\n", "1 1 1\n2 1\n"])
+def test_read_pam_rejects_malformed_lines(tmp_path, body):
+    path = tmp_path / "bad.txt"
+    path.write_text("# t 2 m 1\n" + body)
+    with pytest.raises(ValueError):
+        read_pam(path, PamParams(1, 0.0))
+
+
+def test_read_pam_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "pam.txt"
+    path.write_text(
+        "# t 3 m 2\n1 1 1\n1 2 1\n\n# a comment\n2 1 1\n   \n2 2 2\n"
+        "  # indented\n3 2 3\n3 1 2\n"
+    )
+    g = read_pam(path, PamParams(2, 0.0))
+    assert g.t == 3
+    assert g.xi.tolist() == [[1, 1], [1, 2], [2, 3]]
+
+
+def test_read_pam_header_only_is_an_error(tmp_path):
+    path = tmp_path / "pam.txt"
+    path.write_text("# t 0 m 2\n")
+    with pytest.raises(ValueError):
+        read_pam(path, PamParams(2, 0.0))
