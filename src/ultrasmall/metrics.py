@@ -87,6 +87,104 @@ def _bfs_levels(graph, sources, level_cap=None):
     return dist
 
 
+_LANES = 64  # sources per bit-parallel search, one bit of a uint64 each
+_BLOCK = 1 << 16  # half-edges per reduceat, to keep the temporaries small
+
+
+def _lane_bfs(graph, members, sources):
+    """Breadth-first search from up to 64 `sources` at once through the
+    component `members` (sorted ids, holding the sources), one bit ("lane")
+    of a uint64 word per source: MS-BFS (Then et al., VLDB'14), the
+    bit-parallel BFS of Akiba, Iwata & Yoshida (SIGMOD'13).
+
+    `seen[v]` holds the lanes that have reached v. A vertex missing a lane
+    at level l has it at l + 1 exactly when a neighbor got it at l, so a
+    level's candidates are the neighbors of the vertices whose word grew
+    at l or, once those hold more than 1/8 of the component's half-edges,
+    every member. Yields (level, seen, lanes) for every level that reached
+    a vertex, level 0 first, with `lanes` the word of lanes that reached a
+    new vertex."""
+    indptr, nbr = graph.indptr, graph.nbr
+    sources = np.asarray(sources, dtype=np.int64)
+    if sources.size > _LANES:
+        raise ValueError(f"at most {_LANES} sources per search")
+    bits = np.left_shift(np.uint64(1), np.arange(sources.size, dtype=np.uint64))
+    full = np.bitwise_or.reduce(bits)
+    seen = np.zeros(graph.n, dtype=np.uint64)
+    np.bitwise_or.at(seen, sources, bits)
+    limit = (int(indptr[members + 1].sum()) - int(indptr[members].sum())) // 8
+    grown = np.unique(sources)
+    level, lanes = 0, full
+    while lanes:
+        yield level, seen, lanes
+        level += 1
+        # grown is None when the last level grew more than `limit` half-edges
+        if grown is None:
+            cand = members
+        else:
+            cand = np.unique(_frontier_neighbors(indptr, nbr, grown))
+        grown, lanes = _lane_step(graph, seen, cand, full, limit)
+
+
+def _lane_step(graph, seen, cand, full, limit):
+    """One level of `_lane_bfs`: every vertex of `cand` (sorted) that
+    misses a lane ORs its neighbors' words into its own. Returns the
+    vertices whose word grew (None when their half-edges pass `limit`)
+    and the lanes that reached one.
+
+    A block is the candidates whose slots start within `_BLOCK` of the
+    first one's, and the words it gains are written to `seen` only once
+    the whole level has read it."""
+    indptr, nbr = graph.indptr, graph.nbr
+    pieces, mass, lanes = [], 0, np.uint64(0)
+    lo = 0
+    while lo < cand.size:
+        stop = np.searchsorted(indptr, indptr[cand[lo]] + _BLOCK)
+        hi = max(lo + 1, int(np.searchsorted(cand, stop)))
+        block = cand[lo:hi]
+        lo = hi
+        have = seen[block]
+        # a vertex missing a lane is not alone in its component, so it
+        # has slots, which reduceat needs
+        missing = have != full
+        block, have = block[missing], have[missing]
+        if block.size == 0:
+            continue
+        first, last = int(block[0]), int(block[-1])
+        counts = indptr[block + 1] - indptr[block]
+        start, end = indptr[first], indptr[last + 1]
+        if 2 * int(counts.sum()) >= end - start:
+            # reduce over the block's whole id range; the words of the
+            # vertices in its gaps (some without slots) are never read
+            words = seen[nbr[start:end]]
+            word = np.bitwise_or.reduceat(words, indptr[first : last + 1] - start)
+            word = word[block - first]
+        else:
+            words = seen[_frontier_neighbors(indptr, nbr, block)]
+            word = np.bitwise_or.reduceat(words, np.cumsum(counts) - counts)
+        word &= ~have
+        hit = word != 0
+        pieces.append((block[hit], have[hit] | word[hit]))
+        lanes |= np.bitwise_or.reduce(word)
+        mass += int(counts[hit].sum())
+    for vertices, words in pieces:
+        seen[vertices] = words
+    if mass > limit:
+        return None, lanes
+    return np.concatenate([v for v, _ in pieces] or [cand[:0]]), lanes
+
+
+def _eccentricities(graph, members, sources):
+    """Exact eccentricities of up to 64 `sources` within the component
+    `members`, from one bit-parallel search: a lane's eccentricity is the
+    last level at which it reached a new vertex."""
+    ecc = np.zeros(len(sources), dtype=np.int64)
+    lane = np.arange(len(sources), dtype=np.uint64)
+    for level, _, lanes in _lane_bfs(graph, members, sources):
+        ecc[(lanes >> lane) & np.uint64(1) != 0] = level
+    return ecc
+
+
 def bfs(graph, source):
     """Exact hop distances from `source`; multi-edges and self-loops act
     as simple adjacency."""
@@ -120,51 +218,60 @@ class DiameterResult:
     component_fraction: float
     lcc_size: int
     method: str
-    sweeps: int  # BFS sweeps the method ran
+    sweeps: int  # eccentricities the method computed
 
 
 def _diameter_all_sources(graph, members):
-    """(diameter, sweeps) of the component `members`."""
-    diam = max(int(_bfs_levels(graph, [int(v)]).max()) for v in members)
+    """(diameter, eccentricities computed) of the component `members`."""
+    diam = 0
+    for lo in range(0, members.size, _LANES):
+        batch = members[lo : lo + _LANES]
+        diam = max(diam, int(_eccentricities(graph, members, batch).max()))
     return diam, members.size
 
 
+def _upper_bounds(graph, members, sources, ecc):
+    """ub(v) = min_i d(v, sources[i]) + ecc[i] for every member v of the
+    component `members`, and -1 outside it. Grouping the sources by
+    eccentricity gives the same minimum, min_e d(v, S_e) + e with S_e the
+    sources of eccentricity e, from one multi-source search per distinct
+    e."""
+    ub = np.full(graph.n, -1, dtype=np.int32)
+    ub[members] = np.iinfo(np.int32).max
+    for e in np.unique(ecc).tolist():
+        # unreached distances are -1, so ub stays -1 outside the component
+        np.minimum(ub, _bfs_levels(graph, sources[ecc == e]) + e, out=ub)
+    return ub
+
+
 def _diameter_ifub(graph, members):
-    """(diameter, sweeps) of the component `members` (sorted vertex ids) by
-    iterative eccentricity bounding: sweeps from high-degree reference
-    vertices give every member the upper bound
-    ub(v) = min_r d(v, r) + ecc(r); members with ub(v) > lb are resolved
-    exactly, each resolution tightening the bounds, until every
-    eccentricity is certified <= lb. Vertices outside the component keep
-    ub = -1 and are never candidates."""
+    """(diameter, eccentricities computed) of the component `members`
+    (sorted vertex ids) by iterative eccentricity bounding. The 16
+    highest-degree members and the far end of a sweep from the highest
+    give every member the upper bound ub(v) = min_r d(v, r) + ecc(r); then
+    the members with ub(v) > lb are resolved exactly, 64 at a time and
+    highest bound first, until every eccentricity is certified <= lb."""
     if members.size == 1:
         return 0, 0
-    by_degree = members[np.argsort(graph.degrees[members])]
-    refs = [int(v) for v in by_degree[-16:]]
-    root = refs[-1]
+    *refs, root = members[np.argsort(graph.degrees[members])[-16:]].tolist()
     root_levels = _bfs_levels(graph, [root])
     refs.append(int(np.argmax(root_levels)))  # double-sweep endpoint
-    lb = 0
-    ub = np.full(graph.n, -1, dtype=np.int64)
-    ub[members] = np.iinfo(np.int32).max
-    refs = dict.fromkeys(refs)
-    sweeps = len(refs)
-    for r in refs:
-        dist = root_levels if r == root else _bfs_levels(graph, [r])
-        ecc = int(dist.max())
-        lb = max(lb, ecc)
-        np.minimum(ub, dist.astype(np.int64) + ecc, out=ub)
+    refs = np.array(list(dict.fromkeys(refs)), dtype=np.int64)
+    ecc = _eccentricities(graph, members, refs)
+    refs = np.append(refs, root)
+    ecc = np.append(ecc, int(root_levels.max()))
+    lb = int(ecc.max())
+    ub = _upper_bounds(graph, members, refs, ecc)
+    sweeps = refs.size
     while True:
-        cand = np.nonzero(ub > lb)[0]
+        cand = np.flatnonzero(ub > lb)
         if cand.size == 0:
             return lb, sweeps
-        v = int(cand[np.argmax(ub[cand])])
-        dist = _bfs_levels(graph, [v])
-        sweeps += 1
-        ecc = int(dist.max())
-        lb = max(lb, ecc)
-        np.minimum(ub, dist.astype(np.int64) + ecc, out=ub)
-        ub[v] = ecc
+        batch = cand[np.argsort(-ub[cand], kind="stable")[:_LANES]]
+        ecc = _eccentricities(graph, members, batch)
+        sweeps += batch.size
+        lb = max(lb, int(ecc.max()))
+        ub[batch] = ecc
 
 
 def diameter(graph, method="auto"):
@@ -172,8 +279,8 @@ def diameter(graph, method="auto"):
     if graph.n == 0:
         raise ValueError("empty graph")
     label, sizes = connected_components(graph)
-    lcc = int(np.argmax(sizes))
-    members = np.flatnonzero(label == lcc)
+    members = np.flatnonzero(label == np.argmax(sizes))
+    del label  # the searches below need the memory more
     if method == "auto":
         method = "ifub" if members.size > 1000 else "exact"
     if method == "exact":
@@ -274,24 +381,22 @@ def core_diameter(graph, core):
 
     `graph` must be a MultiGraph (pass the undirected view for PAM);
     raises on an empty core, returns inf if the core is disconnected in
-    the ambient graph. Each member's search stops at the level that
-    reaches the last member.
+    the ambient graph. Members are searched from 64 at a time, and each
+    search stops at the level where every lane has reached every member.
     """
-    if core.members.size == 0:
+    core_members = np.asarray(core.members, dtype=np.int64)
+    if core_members.size == 0:
         raise ValueError("empty core: diameter undefined")
-    is_member = np.zeros(graph.n, dtype=bool)
-    is_member[core.members] = True
-    size = int(np.count_nonzero(is_member))
+    component = _bfs_levels(graph, core_members[:1])
+    if np.any(component[core_members] == UNREACHED):
+        return math.inf
+    members = np.flatnonzero(component != UNREACHED)
     best = 0
-    dist = np.empty(graph.n, dtype=np.int32)
-    for v in core.members:
-        dist.fill(UNREACHED)
-        left = size
-        for level, reached in _bfs(graph, [int(v)], dist):
-            left -= int(np.count_nonzero(is_member[reached]))
-            if left == 0:
+    for lo in range(0, core_members.size, _LANES):
+        batch = core_members[lo : lo + _LANES]
+        full = np.uint64((1 << batch.size) - 1)
+        for level, seen, _ in _lane_bfs(graph, members, batch):
+            if np.bitwise_and.reduce(seen[core_members]) == full:
                 best = max(best, level)
                 break
-        else:
-            return math.inf
     return best

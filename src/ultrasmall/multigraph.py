@@ -59,8 +59,11 @@ class MultiGraph:
             raise ValueError("edge endpoint out of range")
         flat = edges.reshape(-1)
         degrees = np.bincount(flat, minlength=n)
-        # stable sort by vertex: position j in sorted order is CSR slot j
-        perm = np.argsort(flat, kind="stable")
+        # sort by (vertex, position): sorted position j is CSR slot j. The
+        # keys are unique, so a non-stable sort gives the stable sort's
+        # permutation, faster; they stay below n * flat.size, within int64
+        # for any graph whose arrays fit in memory
+        perm = np.argsort(flat * flat.size + np.arange(flat.size))
         slot = np.empty(flat.size, dtype=np.int64)
         slot[perm] = np.arange(flat.size, dtype=np.int64)
         return cls.from_pairs(degrees, slot.reshape(-1, 2))

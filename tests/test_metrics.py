@@ -10,10 +10,13 @@ import pytest
 from ultrasmall.degrees import DegreeSequence, PowerLawSpec, sample_iid_powerlaw, fix_parity
 from ultrasmall.cm import generate_cm
 from ultrasmall.pam import PamParams, generate_pam
+from ultrasmall import metrics
 from ultrasmall.multigraph import MultiGraph
 from ultrasmall.metrics import (
     UNREACHED,
     _bfs_levels,
+    _eccentricities,
+    _upper_bounds,
     bfs,
     connected_components,
     diameter,
@@ -173,16 +176,21 @@ def test_typical_distance_sample_matches_bfs_on_many_components():
     assert np.isinf(dists).any() and dists[np.isfinite(dists)].max() >= 5
 
 
-def _scipy_levels(graph, sources):
+def _scipy_distances(graph, sources):
+    """Hop distances from each source (one row each), inf when unreached."""
     sparse = pytest.importorskip("scipy.sparse")
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
     edges = graph.edges()
     adj = sparse.coo_matrix(
         (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(graph.n, graph.n)
     ).tocsr()
-    dist = csgraph.shortest_path(
+    return csgraph.shortest_path(
         adj, directed=False, unweighted=True, indices=sources
-    ).min(axis=0)
+    ).reshape(len(sources), graph.n)
+
+
+def _scipy_levels(graph, sources):
+    dist = _scipy_distances(graph, sources).min(axis=0)
     return np.where(np.isinf(dist), UNREACHED, dist).astype(np.int64)
 
 
@@ -228,13 +236,101 @@ def test_shuffled_long_path():
         assert d == abs(int(position[a]) - int(position[b]))
 
 
+def _lane_test_graph(kind):
+    """A CM graph of 300 vertices with 22 components, or a connected PAM
+    tree of 300 vertices and diameter 12, and its LCC's members."""
+    if kind == "cm":
+        spec = PowerLawSpec(tau=2.5, d_min=1, n=300)
+        g = generate_cm(fix_parity(sample_iid_powerlaw(spec, 3)), 3)
+    else:
+        g = generate_pam(PamParams(1, -0.5), 300, seed=1).undirected_view()
+    labels, sizes = connected_components(g)
+    return g, np.flatnonzero(labels == np.argmax(sizes))
+
+
+def _in_batches(function, sources):
+    """Concatenated results of `function` over batches of at most 64."""
+    return np.concatenate(
+        [function(sources[lo : lo + 64]) for lo in range(0, len(sources), 64)]
+    )
+
+
+@pytest.mark.parametrize("block", [None, 16])
+@pytest.mark.parametrize("kind", ["cm", "pam"])
+def test_eccentricities_match_scipy(kind, block, monkeypatch):
+    if block is not None:  # many blocks, sliced and gathered
+        monkeypatch.setattr(metrics, "_BLOCK", block)
+    g, members = _lane_test_graph(kind)
+    assert members.size >= 150 and (kind == "pam") == (members.size == g.n)
+    order = np.random.default_rng(5).permutation(members)
+    dist = _scipy_distances(g, order[:65])
+    expect = np.where(np.isinf(dist), -1, dist).max(axis=1)
+    for k in (1, 63, 64, 65):  # 64 fills every lane; 65 spills into a second batch
+        got = _in_batches(lambda batch: _eccentricities(g, members, batch), order[:k])
+        assert np.array_equal(got, expect[:k])
+    with pytest.raises(ValueError):
+        _eccentricities(g, members, order[:65])
+
+
+@pytest.mark.parametrize("kind", ["cm", "pam"])
+def test_core_diameter_batches_match_scipy(kind):
+    g, members = _lane_test_graph(kind)
+    order = np.random.default_rng(6).permutation(members)
+    for k in (1, 63, 64, 65, 130):
+        core = np.sort(order[:k])
+        dist = _scipy_distances(g, core)[:, core]
+        assert core_diameter(g, SimpleNamespace(members=core)) == int(dist.max())
+    if members.size < g.n:
+        outside = np.setdiff1d(np.arange(g.n), members)[0]
+        core = np.sort(np.append(order[:64], outside))
+        assert core_diameter(g, SimpleNamespace(members=core)) == math.inf
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ifub_matches_exact_with_isolated_vertices_and_self_loops(seed):
+    # CM with d_min = 1, plus 40 self-loops and 50 isolated vertices, all
+    # ids shuffled so that the LCC's members are scattered
+    spec = PowerLawSpec(tau=2.5, d_min=1, n=1200)
+    g = generate_cm(fix_parity(sample_iid_powerlaw(spec, seed)), seed)
+    rng = np.random.default_rng(seed)
+    loops = rng.choice(g.n, 40)
+    edges = np.concatenate([g.edges(), np.column_stack((loops, loops))])
+    relabel = rng.permutation(g.n + 50)
+    h = MultiGraph.from_edge_list(g.n + 50, relabel[edges])
+    labels, sizes = connected_components(h)
+    assert np.count_nonzero(h.degrees == 0) == 50 and sizes.size > 100
+    exact, ifub = diameter(h, "exact"), diameter(h, "ifub")
+    assert exact.lcc_size == ifub.lcc_size > 130
+    lcc = np.flatnonzero(labels == np.argmax(sizes))
+    assert exact.diam == ifub.diam == int(_scipy_distances(h, lcc)[:, lcc].max())
+
+
+def test_upper_bounds_of_a_batch_match_single_sweeps():
+    # a path 0..9 with a star of leaves 10..14 on vertex 6 and a branch
+    # 3-15-16-17, plus another component 18-19 and an isolated vertex 20
+    edges = [(v, v + 1) for v in range(9)] + [(6, leaf) for leaf in range(10, 15)]
+    edges += [(3, 15), (15, 16), (16, 17), (18, 19)]
+    g = MultiGraph.from_edge_list(21, edges)
+    members = np.arange(18)
+    sources = np.array([0, 6, 4, 17, 12, 9])
+    ecc = _eccentricities(g, members, sources)
+    single = [_bfs_levels(g, [s]) for s in sources]
+    assert ecc.tolist() == [int(d.max()) for d in single]
+    assert len(set(ecc.tolist())) >= 4
+    ub = _upper_bounds(g, members, sources, ecc)
+    expect = np.min([d + e for d, e in zip(single, ecc.tolist())], axis=0)
+    assert np.array_equal(ub[members], expect[members])
+    assert np.all(ub[18:] == -1)
+    assert ub.dtype == np.int32
+
+
 def test_diameter_sweep_counts():
     spec = PowerLawSpec(tau=2.5, d_min=3, n=5000)
     cm = generate_cm(fix_parity(sample_iid_powerlaw(spec, 12)), 12)
     pam = generate_pam(PamParams(2, -1.0), 5000, seed=12).undirected_view()
-    # a change of iFUB's references or candidate order moves these counts;
-    # the sweep from the highest-degree reference serves both the
-    # double sweep and the reference bounds
+    # eccentricities computed: a change of iFUB's references or candidate
+    # order moves these counts; the highest-degree reference's own sweep
+    # gives both the double-sweep endpoint and that reference's eccentricity
     cm_res, pam_res = diameter(cm, "ifub"), diameter(pam, "ifub")
     assert (cm_res.diam, cm_res.sweeps) == (6, 62)
     assert (pam_res.diam, pam_res.sweeps) == (7, 44)

@@ -36,6 +36,25 @@ def test_from_edge_list_matches_from_pairs():
     assert got == sorted(map(tuple, (np.sort(edges, axis=1).tolist())))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_from_edge_list_slots_follow_edge_order(seed):
+    # slots are dealt to each vertex in edge order: the permutation of a
+    # stable sort by vertex, which the build must reproduce exactly
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 30))
+    edges = rng.integers(0, n, size=(int(rng.integers(0, 200)), 2))
+    edges[::7, 1] = edges[::7, 0]  # self-loops
+    edges = np.concatenate([edges, edges[::5]])  # multi-edges
+    flat = edges.reshape(-1)
+    slot = np.empty(flat.size, dtype=np.int64)
+    slot[np.argsort(flat, kind="stable")] = np.arange(flat.size)
+    expect = MultiGraph.from_pairs(np.bincount(flat, minlength=n), slot.reshape(-1, 2))
+    g = MultiGraph.from_edge_list(n, edges)
+    assert np.array_equal(g.indptr, expect.indptr)
+    assert np.array_equal(g.partner, expect.partner)
+    assert np.array_equal(g.nbr, expect.nbr)
+
+
 def test_edges_lists_each_edge_once():
     g = MultiGraph.from_pairs([2, 2], [(0, 2), (1, 3)])
     assert len(g.edges()) == 2
