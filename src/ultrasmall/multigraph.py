@@ -18,14 +18,13 @@ _N_HEADER = re.compile(r"#[^\S\n]*n[^\S\n]+(\S+)[^\S\n]*$", re.M)
 
 
 class MultiGraph:
-    __slots__ = ("n", "indptr", "nbr", "partner", "_slot_owner")
+    __slots__ = ("n", "indptr", "nbr", "partner")
 
     def __init__(self, n, indptr, nbr, partner):
         self.n = int(n)
         self.indptr = indptr
         self.nbr = nbr
         self.partner = partner
-        self._slot_owner = None
 
     # -- constructors -------------------------------------------------
 
@@ -45,10 +44,7 @@ class MultiGraph:
         partner[pairs[:, 0]] = pairs[:, 1]
         partner[pairs[:, 1]] = pairs[:, 0]
         owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        nbr = owner[partner]
-        g = cls(n, indptr, nbr, partner)
-        g._slot_owner = owner
-        return g
+        return cls(n, indptr, owner[partner], partner)
 
     @classmethod
     def from_edge_list(cls, n, edges):
@@ -84,11 +80,9 @@ class MultiGraph:
 
     @property
     def slot_owner(self):
-        if self._slot_owner is None:
-            self._slot_owner = np.repeat(
-                np.arange(self.n, dtype=np.int64), self.degrees
-            )
-        return self._slot_owner
+        """Vertex owning each global slot, built on each call: an int64
+        per half-edge is too much to keep on every graph."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
 
     def neighbors(self, v):
         """Slot-ordered neighbor array of v (a self-loop appears twice)."""

@@ -12,9 +12,20 @@ exact: the self term is drawn directly, and conditionally on "not self" the
 target is drawn from the uniform-half-edge-endpoint proposal (weight
 proportional to current degree) with acceptance (D_v + delta)/D_v, which
 realizes the D_v + delta weights exactly for any delta > -m.
+
+The sampler's uniforms are the draws `Generator.random()` and
+`Generator.integers(k)` of a PCG64 Generator would give, one by one, but it
+reads the raw 64-bit words in blocks (`random_raw`) and decodes them as
+numpy does: a double is the word's top 53 bits times 2^-53; `integers(k)`
+is Lemire's multiply-and-reject on 32-bit halves, the low half of a word
+first and the high half kept for the next one; `integers(1)` draws
+nothing.  On return the Generator is left where those calls would have
+left it, so a seed gives the same xi, and a shared Generator the same later
+draws, as calling numpy once per draw.
 """
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +70,6 @@ class PamGraph:
     params: PamParams
     t: int
     xi: np.ndarray
-    _incoming: dict = field(default=None, repr=False, compare=False)
 
     @property
     def m(self):
@@ -96,9 +106,8 @@ class PamGraph:
         if not 1 <= v or not s <= self.t or not 0 <= j <= self.m:
             raise ValueError("index out of range")
         own = self.m if v < s else j
-        incoming = int(np.count_nonzero(self.xi[: s - 1] == v))
-        incoming += int(np.count_nonzero(self.xi[s - 1, :j] == v))
-        return own + incoming
+        targets = self.xi.ravel()[: (s - 1) * self.m + j]
+        return own + int(np.count_nonzero(targets == v))
 
     def undirected_view(self):
         """MultiGraph with one edge {w, xi_{w,j}} per (w, j)."""
@@ -108,10 +117,85 @@ class PamGraph:
         return MultiGraph.from_edge_list(t, edges)
 
 
+# 2^-53: a double is the top 53 bits of a word times this
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0
+_LOW32 = 0xFFFFFFFF
+# largest block of words read at once; its list holds about 48 bytes a word
+_BLOCK = 2**12
+
+
+def _pcg64_draws(rng, block):
+    """Closures `random()`, `integers(k)` (1 <= k <= 2^32) and `close()`
+    giving what `rng.random()` and `rng.integers(k)` would, decoded from raw
+    words read `block` at a time. Until `close()` runs, `rng` stands ahead
+    of the draws; `close()` puts it back where those numpy calls would have
+    left it."""
+    bg = rng.bit_generator
+    if not isinstance(bg, np.random.PCG64):
+        raise TypeError(f"need a PCG64 Generator, got {type(bg).__name__}")
+    saved = bg.state
+    pending, half = saved["has_uint32"], saved["uinteger"]
+    words = bg.random_raw(block).tolist()
+    pos = 0  # words used of this block
+    done = 0  # words of earlier blocks
+
+    def refill():
+        nonlocal words, pos, done
+        done += block
+        words = bg.random_raw(block).tolist()
+        pos = 0
+
+    def random():
+        nonlocal pos
+        if pos == block:
+            refill()
+        pos += 1
+        return (words[pos - 1] >> 11) * _DOUBLE_UNIT
+
+    def integers(k):
+        nonlocal pos, pending, half
+        # numpy draws nothing for a range of one value
+        if k == 1:
+            return 0
+        while True:
+            # next_uint32: a pending high half, else the low half of a word
+            if pending:
+                pending = 0
+                x = half
+            else:
+                if pos == block:
+                    refill()
+                word = words[pos]
+                pos += 1
+                pending, half = 1, word >> 32
+                x = word & _LOW32
+            # Lemire: the high half of x * k, with x redrawn while the low
+            # half falls below 2^32 mod k (worked out only when it is below
+            # k, since 2^32 mod k < k)
+            p = x * k
+            low = p & _LOW32
+            if low >= k or low >= (2**32 - k) % k:
+                return p >> 32
+
+    def close():
+        # step the saved state past the words used: unlike `advance`,
+        # `random_raw` leaves the pending half-word as it is set here. The
+        # full blocks are skipped without an array; the last block's words
+        # come as one small array, which costs less than a skip
+        saved["has_uint32"], saved["uinteger"] = pending, half
+        bg.state = saved
+        if done:
+            bg.random_raw(done, output=False)
+        bg.random_raw(pos)
+
+    return random, integers, close
+
+
 def generate_pam(params, t, seed, check_normalization=False):
     """Sequential exact sampling of PA_t(m, delta); reproducible per seed
-    (PCG64). `seed` may also be a numpy Generator to amortize setup cost
-    across many small draws."""
+    (PCG64). `seed` may also be a PCG64 Generator, to amortize setup cost
+    across many small draws; it is left as if every uniform had been drawn
+    from it by its own `random()` or `integers()` call."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     rng = (
@@ -121,61 +205,65 @@ def generate_pam(params, t, seed, check_normalization=False):
     )
     m, delta = params.m, params.delta
     dm = delta / m
-    xi = np.empty((t, m), dtype=np.int32)
-    xi[0, :] = 1
+    # an attachment takes 1.5-3 words on average: the first block serves
+    # most small calls whole, and stays cheap to read for t = 3
+    rand, randint, close = _pcg64_draws(rng, min(_BLOCK, 2 * m * t + 8))
 
     # endpoint multiset: one entry per half-edge endpoint, so vertex v
-    # appears exactly D(v) times; used as the degree-proportional proposal
-    endpoints = np.empty(2 * m * t, dtype=np.int32)
-    endpoints[: 2 * m] = 1
+    # appears exactly D(v) times; used as the degree-proportional proposal.
+    # Entry 2i is the target of attachment i (xi in row order, with
+    # xi_{1,j} = 1) and entry 2i + 1 its source. A C-int array: as fast
+    # to index as a list, which would also hold one Python int per vertex
+    # (twice the peak memory at t = 10^6)
+    endpoints = array("i", [1]) * (2 * m * t)
     ne = 2 * m
     deg = [0] * (t + 1)
     deg[1] = 2 * m
     total = 2 * m  # running total degree, for the normalization assert
 
-    rand = rng.random
-    randint = rng.integers
-    for w in range(2, t + 1):
-        deg_w = 0
-        base = (w - 1) * m
-        row = xi[w - 1]
-        for j in range(1, m + 1):
-            c = (base + (j - 1)) * (2.0 + dm) + 1.0 + dm
-            w_self = deg_w + 1.0 + j * dm
-            if check_normalization:
-                rest = (total - deg_w) + (w - 1) * delta
-                assert abs((w_self + rest) / c - 1.0) < 1e-12
-            if rand() < w_self / c:
-                target = w
-            elif delta <= 0:
-                # proposal ~ degree, accept with (D_v + delta)/D_v
-                while True:
-                    v = int(endpoints[int(randint(ne))])
-                    if v == w:
-                        continue
-                    dv = deg[v]
-                    if delta == 0 or rand() * dv < dv + delta:
-                        target = v
-                        break
-            else:
-                # delta > 0: degree part plus uniform part as a mixture
-                s_deg = total - deg_w
-                if rand() * (s_deg + (w - 1) * delta) < (w - 1) * delta:
-                    target = int(randint(1, w))
-                else:
+    try:
+        for w in range(2, t + 1):
+            deg_w = 0
+            base = (w - 1) * m
+            for j in range(1, m + 1):
+                c = (base + (j - 1)) * (2.0 + dm) + 1.0 + dm
+                w_self = deg_w + 1.0 + j * dm
+                if check_normalization:
+                    rest = (total - deg_w) + (w - 1) * delta
+                    assert abs((w_self + rest) / c - 1.0) < 1e-12
+                if rand() < w_self / c:
+                    target = w
+                elif delta <= 0:
+                    # proposal ~ degree, accept with (D_v + delta)/D_v
                     while True:
-                        v = int(endpoints[int(randint(ne))])
-                        if v != w:
+                        v = endpoints[randint(ne)]
+                        if v == w:
+                            continue
+                        dv = deg[v]
+                        if delta == 0 or rand() * dv < dv + delta:
                             target = v
                             break
-            row[j - 1] = target
-            endpoints[ne] = target
-            endpoints[ne + 1] = w
-            ne += 2
-            deg[target] += 1
-            deg[w] += 1
-            total += 2
-            deg_w = deg[w]
+                else:
+                    # delta > 0: degree part plus uniform part as a mixture
+                    s_deg = total - deg_w
+                    if rand() * (s_deg + (w - 1) * delta) < (w - 1) * delta:
+                        target = 1 + randint(w - 1)
+                    else:
+                        while True:
+                            v = endpoints[randint(ne)]
+                            if v != w:
+                                target = v
+                                break
+                endpoints[ne] = target
+                endpoints[ne + 1] = w
+                ne += 2
+                deg[target] += 1
+                deg[w] += 1
+                total += 2
+                deg_w = deg[w]
+    finally:
+        close()
+    xi = np.frombuffer(endpoints[::2], dtype=np.intc).reshape(t, m)
     return PamGraph(params=params, t=t, xi=xi)
 
 

@@ -1,5 +1,6 @@
 """Preferential attachment: law exactness, snapshots, serialization."""
 
+import hashlib
 import math
 from collections import Counter
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from ultrasmall.pam import (
+    _pcg64_draws,
     PamParams,
     PamGraph,
     normalizer,
@@ -62,6 +64,86 @@ def test_sampler_matches_chain_rule(params):
         assert abs(counts[outcome] / reps - p) < 4 * sigma + 1e-9
 
 
+# SHA-256 of xi (little-endian int32) at seed t, computed with the sampler
+# that called `Generator.random` and `Generator.integers` once per draw
+PINNED_XI = {
+    (1, -0.5, 1): "67abdd721024f0ff4e0b3f4c2fc13bc5bad42d0b7851d456d88d203d15aaa450",
+    (1, -0.5, 2): "64ed86b909d6d0502b64b28db0ea1272ffb358e20e9b1d88b63ccb07fa900cf5",
+    (1, -0.5, 2000): "db386f33c21921c27d2385d3e9a5a9a9ab7b61545a9f6f6034f323022730fe46",
+    (2, -1.0, 1): "64ed86b909d6d0502b64b28db0ea1272ffb358e20e9b1d88b63ccb07fa900cf5",
+    (2, -1.0, 2): "1b897dddd4c151e2a2e6e3e91b7ea0f7fc4fd5ed00ef1c9669e8566393a02586",
+    (2, -1.0, 2000): "cfd2a85f87c45336ca644bbdd138dc6a89f198e9eee8b635e9054cc8f6d10e2c",
+    (2, 0.0, 1): "64ed86b909d6d0502b64b28db0ea1272ffb358e20e9b1d88b63ccb07fa900cf5",
+    (2, 0.0, 2): "1b897dddd4c151e2a2e6e3e91b7ea0f7fc4fd5ed00ef1c9669e8566393a02586",
+    (2, 0.0, 2000): "4c450758eb3f5b0563dfb892039ab8a83a7488fa4167f90392e7466efcce3a57",
+    (3, 0.7, 1): "11047585fe102fbb5cadb42446612a578d88c6ef5ed076bb7ac360c4f9e4373d",
+    (3, 0.7, 2): "858478782d68a19528aab2edb9ca86c79372b706d16569579a9be589f5b25dbf",
+    (3, 0.7, 2000): "9bf63d2754c03d55752ec90e1c778195c7ebdf35a9da4d8a170a647d97bd16e6",
+    (2, 1.5, 1): "64ed86b909d6d0502b64b28db0ea1272ffb358e20e9b1d88b63ccb07fa900cf5",
+    (2, 1.5, 2): "9882ec2abaafa22264b143c3b6ff77932cc74eb5c754d4f8c955c52963713866",
+    (2, 1.5, 2000): "e5c00e742de119312dd648cf46ea6d043172f1bb14ddf8e7cf1932398bc42c55",
+}
+# 30 calls at t = 7 on one Generator, cycling through the five laws above,
+# then that Generator's next `random()` and `integers(1000)`
+PINNED_STREAM = "4bec34a8a02a99c18b6c7a8b0ce67206804c30a334e78f3698d2ac9ec55eab00"
+
+
+def test_sampler_bytes_are_pinned():
+    """The seed -> xi map, and what a shared Generator draws after the
+    sampler, for delta < 0, delta = 0 and delta > 0 (at w = 2 the uniform
+    part of delta > 0 draws nothing)."""
+
+    def digest(xi):
+        return hashlib.sha256(xi.astype("<i4").tobytes()).hexdigest()
+
+    laws = []
+    for m, delta, t in PINNED_XI:
+        if (m, delta) not in laws:
+            laws.append((m, delta))
+        got = digest(generate_pam(PamParams(m, delta), t, seed=t).xi)
+        assert got == PINNED_XI[m, delta, t], (m, delta, t)
+    rng = np.random.default_rng(2024)
+    rng.integers(5)  # leaves half a word pending
+    stream = hashlib.sha256()
+    for i in range(30):
+        xi = generate_pam(PamParams(*laws[i % len(laws)]), 7, rng).xi
+        stream.update(xi.astype("<i4").tobytes())
+    stream.update(np.float64(rng.random()).tobytes())
+    stream.update(np.int64(rng.integers(1000)).tobytes())
+    assert stream.hexdigest() == PINNED_STREAM
+
+
+@pytest.mark.parametrize("pending", [False, True])
+def test_word_decoding_matches_generator(pending):
+    """`random()` and `integers(k)` decoded from raw words equal the
+    Generator's own draws, starting with and without a pending half-word,
+    for small k and for k where Lemire's rejection fires often (2^31 + 1
+    rejects about half its draws, 3 * 2^30 a quarter); blocks of 5 words
+    make it refill. After `close()` the Generator's state is numpy's."""
+    bounds = [1, 2, 3, 10, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
+    ref, rng = np.random.default_rng(77), np.random.default_rng(77)
+    if pending:
+        ref.integers(5)
+        rng.integers(5)
+    random, integers, close = _pcg64_draws(rng, 5)
+    picks = np.random.default_rng(1).integers(len(bounds) + 1, size=3000)
+    for pick in picks.tolist():
+        if pick == len(bounds):
+            assert random() == ref.random()
+        else:
+            assert integers(bounds[pick]) == ref.integers(bounds[pick])
+    close()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random()
+    assert rng.integers(1000) == ref.integers(1000)
+
+
+def test_generate_needs_pcg64():
+    rng = np.random.Generator(np.random.MT19937(1))
+    with pytest.raises(TypeError):
+        generate_pam(PamParams(2, -0.5), 5, rng)
+
+
 def test_generate_deterministic_per_seed():
     params = PamParams(2, -0.5)
     a = generate_pam(params, 50, seed=3)
@@ -93,6 +175,17 @@ def test_degree_accessors_consistent():
         assert g.degree_at(v, g.t) == deg[v - 1]
     with pytest.raises(ValueError):
         g.degree_at(10, 5)
+
+
+def test_degree_at_matches_snapshots():
+    """D_{s,j}(v) for every v <= s, s and j, self-loops included."""
+    g = generate_pam(PamParams(3, -1.5), 12, seed=6)
+    assert any(g.xi[w - 1, j] == w for w in range(2, 13) for j in range(3))
+    for s in range(1, g.t + 1):
+        for j in range(g.m + 1):
+            snap = g.degree_snapshot(s, j)
+            for v in range(1, s + 1):
+                assert g.degree_at(v, s, j) == snap[v - 1], (v, s, j)
 
 
 def test_undirected_view_degrees_match():
