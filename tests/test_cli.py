@@ -227,6 +227,7 @@ PINNED_DIGESTS = {
     "pam_edges.txt": "0170b968c96d3f87f7634b0e5d2811f5c7e5570579b95516dee966f8f538111d",
     "core-dist.csv": "7f150a482eaa0a2e9f8f4daf9efffd1e5cbd0130d77410e258a0ad1e265f4333",
     "mkc.csv": "b42fe1187ad8609719b23b227efb17e15919a9c1584856ac7074ea6e53d880d6",
+    "diameter.csv": "0dbbd4e287592fcdd4026d9bfe6e68f6ef1441862580cc23436369914b83cec4",
 }
 
 
@@ -254,6 +255,10 @@ def test_output_bytes_are_pinned(tmp_path, capsys):
     outputs["core-dist.csv"] = capsys.readouterr().out.encode()
     assert main(analyze + ["--what", "mkc", "--dmin", "2", "--k", "1"]) == 0
     outputs["mkc.csv"] = capsys.readouterr().out.encode()
+    # `diameter` labels the components and keeps the largest, 781 of the
+    # 1000 vertices
+    assert main(["diameter", "--in", path("cm.txt")]) == 0
+    outputs["diameter.csv"] = capsys.readouterr().out.encode()
     assert b",inf\n" in outputs["core-dist.csv"]
     assert b",0\n" in outputs["core-dist.csv"]
     digests = {

@@ -136,6 +136,66 @@ def test_connected_components_path_plus_isolated():
     assert connected_components(g)[0].tolist() == [0, 1, 0]
 
 
+def _components_test_graph(kind):
+    """One graph per case `connected_components` must handle, by name."""
+    if kind == "empty":
+        return MultiGraph.from_edge_list(0, [])
+    if kind == "edgeless":
+        return MultiGraph.from_edge_list(5, [])
+    if kind == "self-loop":
+        # vertex 2's only edge is a self-loop; vertex 4 has no slots
+        return MultiGraph.from_edge_list(6, [(0, 3), (2, 2), (3, 1), (5, 5), (5, 0)])
+    if kind == "multi-edges":
+        return MultiGraph.from_edge_list(
+            7, [(4, 1), (1, 4), (4, 1), (6, 2), (2, 6), (3, 3), (6, 0)]
+        )
+    if kind == "star":
+        # the hub 9 has the highest id, so the leaves find their label only
+        # through it; 6 and 8 form a second component inside the first's range
+        return MultiGraph.from_edge_list(
+            10, [(9, v) for v in (0, 1, 2, 3, 4, 5, 7)] + [(8, 6)]
+        )
+    if kind == "cm":
+        spec = PowerLawSpec(tau=2.5, d_min=1, n=3000)
+        g = generate_cm(fix_parity(sample_iid_powerlaw(spec, 4)), 4)
+        relabel = np.random.default_rng(4).permutation(g.n)  # shuffled ids
+        return MultiGraph.from_edge_list(g.n, relabel[g.edges()])
+    n = 20000  # a path through the vertices in shuffled order
+    order = np.random.default_rng(1).permutation(n)
+    return MultiGraph.from_edge_list(n, np.column_stack((order[:-1], order[1:])))
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize(
+    "kind", ["empty", "edgeless", "self-loop", "multi-edges", "star", "cm", "path"]
+)
+def test_connected_components_match_scipy(kind, block, monkeypatch):
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+    if block is not None:  # many runs of owners; the hub spans several
+        monkeypatch.setattr(metrics, "_BLOCK", block)
+    g = _components_test_graph(kind)
+    labels, sizes = connected_components(g)
+    if g.n == 0:
+        assert labels.size == sizes.size == 0
+        return
+    edges = g.edges()
+    adj = sparse.coo_matrix(
+        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(g.n, g.n)
+    ).tocsr()
+    count, ref = csgraph.connected_components(adj, directed=False)
+    # scipy's labels, renumbered in the order of each component's smallest
+    # vertex
+    _, first, inverse = np.unique(ref, return_index=True, return_inverse=True)
+    rank = np.empty(count, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(count)
+    assert np.array_equal(labels, rank[inverse])
+    assert np.array_equal(sizes, np.bincount(ref)[np.argsort(first)])
+    assert labels.dtype == sizes.dtype == np.int64
+    if kind == "cm":
+        assert count > 100
+
+
 def test_typical_distance_sample_values():
     g = MultiGraph.from_edge_list(5, [(0, 1), (1, 2), (3, 4)])
     oracle = floyd_warshall(g)
