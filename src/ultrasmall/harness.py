@@ -190,7 +190,7 @@ def run_replica(config, size, index):
         if "core" in config.measurements:
             row["core_size"] = int(core.members.size)
             if core.members.size:
-                dtc = distance_to_core(graph if config.model == "pam" else und, core)
+                dtc = distance_to_core(und, core)
                 row["core_max_dist"] = dtc.max_finite
         if "exploration" in config.measurements:
             k_plus = consts.k_plus(size, config.eps)

@@ -57,13 +57,23 @@ def _step(graph, frontier, dist, level):
     cand = _frontier_neighbors(indptr, nbr, frontier)
     cand = cand[dist[cand] == UNREACHED]
     dist[cand] = level + 1
-    if cand.size <= 1:
-        return cand
-    if cand.size * 4 <= n:
-        return np.unique(cand)
-    fresh = np.zeros(n, dtype=bool)
-    fresh[cand] = True
-    return np.flatnonzero(fresh)
+    return _sorted_unique(cand, n)
+
+
+def _sorted_unique(ids, n):
+    """np.unique(ids) for ids in [0, n), without its hashing: a mask over
+    the n ids when there are more than n/4 of them, else a sort that keeps
+    the first of each run of equal ids."""
+    if ids.size <= 1:
+        return ids
+    if ids.size * 4 > n:
+        mask = np.zeros(n, dtype=bool)
+        mask[ids] = True
+        return np.flatnonzero(mask).astype(ids.dtype, copy=False)
+    ids = np.sort(ids)
+    keep = np.ones(ids.size, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
 
 
 def _bfs_levels(graph, sources, level_cap=None):
@@ -96,16 +106,16 @@ def _lane_bfs(graph, members, sources):
     every member. Yields (level, seen, lanes) for every level that reached
     a vertex, level 0 first, with `lanes` the word of lanes that reached a
     new vertex."""
-    indptr, nbr = graph.indptr, graph.nbr
+    n, indptr, nbr = graph.n, graph.indptr, graph.nbr
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size > _LANES:
         raise ValueError(f"at most {_LANES} sources per search")
     bits = np.left_shift(np.uint64(1), np.arange(sources.size, dtype=np.uint64))
     full = np.bitwise_or.reduce(bits)
-    seen = np.zeros(graph.n, dtype=np.uint64)
+    seen = np.zeros(n, dtype=np.uint64)
     np.bitwise_or.at(seen, sources, bits)
     limit = (int(indptr[members + 1].sum()) - int(indptr[members].sum())) // 8
-    grown = np.unique(sources)
+    grown = _sorted_unique(sources, n)
     level, lanes = 0, full
     while lanes:
         yield level, seen, lanes
@@ -114,7 +124,7 @@ def _lane_bfs(graph, members, sources):
         if grown is None:
             cand = members
         else:
-            cand = np.unique(_frontier_neighbors(indptr, nbr, grown))
+            cand = _sorted_unique(_frontier_neighbors(indptr, nbr, grown), n)
         grown, lanes = _lane_step(graph, seen, cand, full, limit)
 
 
@@ -210,7 +220,7 @@ def connected_components(graph):
     # runs of owners of about _BLOCK half-edges, to keep the gathered
     # labels small: each starts at the owner of a multiple of _BLOCK
     cuts = np.searchsorted(starts, np.arange(0, nbr.size, _BLOCK), "right") - 1
-    cuts = np.unique(cuts).tolist()
+    cuts = _sorted_unique(cuts, owners.size).tolist()
     blocks = list(zip(cuts, cuts[1:] + [owners.size]))
     while True:
         # the least label among each owner's neighbors; with no slots at all
@@ -255,38 +265,44 @@ def _diameter_all_sources(graph, members):
     return diam, members.size
 
 
-def _upper_bounds(graph, members, sources, ecc):
-    """ub(v) = min_i d(v, sources[i]) + ecc[i] for every member v of the
-    component `members`, and -1 outside it. Grouping the sources by
-    eccentricity gives the same minimum, min_e d(v, S_e) + e with S_e the
-    sources of eccentricity e, from one multi-source search per distinct
-    e."""
-    ub = np.full(graph.n, -1, dtype=np.int32)
-    ub[members] = np.iinfo(np.int32).max
-    for e in np.unique(ecc).tolist():
-        # unreached distances are -1, so ub stays -1 outside the component
-        np.minimum(ub, _bfs_levels(graph, sources[ecc == e]) + e, out=ub)
-    return ub
+def _upper_bounds(graph, sources, ecc):
+    """ub(v) = min_i d(v, sources[i]) + ecc[i] for every vertex v of the
+    sources' component (they share one), and -1 outside it, from one
+    staggered search: source i joins the frontier at level ecc[i] unless an
+    earlier level has reached it."""
+    ub = np.full(graph.n, UNREACHED, dtype=np.int32)
+    frontier, level = sources[:0], int(ecc.min())
+    while True:
+        join = sources[(ecc == level) & (ub[sources] == UNREACHED)]
+        if join.size:
+            ub[join] = level
+            frontier = _sorted_unique(np.concatenate((frontier, join)), graph.n)
+        if frontier.size == 0:
+            # the component is exhausted, so every source has been reached
+            return ub
+        frontier = _step(graph, frontier, ub, level)
+        level += 1
 
 
-def _diameter_ifub(graph, members):
+def _diameter_ifub(graph, members, hub, hub_levels):
     """(diameter, eccentricities computed) of the component `members`
     (sorted vertex ids) by iterative eccentricity bounding. The 16
     highest-degree members and the far end of a sweep from the highest
-    give every member the upper bound ub(v) = min_r d(v, r) + ecc(r); then
-    the members with ub(v) > lb are resolved exactly, 64 at a time and
-    highest bound first, until every eccentricity is certified <= lb."""
+    (the root) give every member the upper bound ub(v) = min_r d(v, r) +
+    ecc(r); then the members with ub(v) > lb are resolved exactly, 64 at a
+    time and highest bound first, until every eccentricity is certified
+    <= lb. When the root is `hub`, its sweep is `hub_levels`."""
     if members.size == 1:
         return 0, 0
     *refs, root = members[np.argsort(graph.degrees[members])[-16:]].tolist()
-    root_levels = _bfs_levels(graph, [root])
+    root_levels = hub_levels if root == hub else _bfs_levels(graph, [root])
     refs.append(int(np.argmax(root_levels)))  # double-sweep endpoint
     refs = np.array(list(dict.fromkeys(refs)), dtype=np.int64)
     ecc = _eccentricities(graph, members, refs)
     refs = np.append(refs, root)
     ecc = np.append(ecc, int(root_levels.max()))
     lb = int(ecc.max())
-    ub = _upper_bounds(graph, members, refs, ecc)
+    ub = _upper_bounds(graph, refs, ecc)
     sweeps = refs.size
     while True:
         cand = np.flatnonzero(ub > lb)
@@ -303,17 +319,23 @@ def diameter(graph, method="auto"):
     """Exact diameter of the largest connected component."""
     if graph.n == 0:
         raise ValueError("empty graph")
-    label, sizes = connected_components(graph)
-    members = np.flatnonzero(label == np.argmax(sizes))
-    del label  # the searches below need the memory more
+    if method not in ("auto", "exact", "ifub"):
+        raise ValueError(f"unknown method {method!r}")
+    # a component of more than n/2 vertices is the largest, so when the
+    # highest-degree vertex's sweep reaches that many they are the LCC
+    hub = int(np.argmax(graph.degrees))
+    hub_levels = _bfs_levels(graph, [hub])
+    members = np.flatnonzero(hub_levels != UNREACHED)
+    if members.size * 2 <= graph.n:
+        label, sizes = connected_components(graph)
+        members = np.flatnonzero(label == np.argmax(sizes))
+        del label  # the searches below need the memory more
     if method == "auto":
         method = "ifub" if members.size > 1000 else "exact"
     if method == "exact":
         diam, sweeps = _diameter_all_sources(graph, members)
-    elif method == "ifub":
-        diam, sweeps = _diameter_ifub(graph, members)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        diam, sweeps = _diameter_ifub(graph, members, hub, hub_levels)
     return DiameterResult(
         diam=diam,
         component_fraction=members.size / graph.n,

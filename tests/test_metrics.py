@@ -16,6 +16,7 @@ from ultrasmall.metrics import (
     UNREACHED,
     _bfs_levels,
     _eccentricities,
+    _sorted_unique,
     _upper_bounds,
     bfs,
     connected_components,
@@ -105,6 +106,44 @@ def test_diameter_ignores_hubs_and_paths_outside_lcc():
         res = diameter(g, method=method)
         assert res.diam == expect
         assert res.lcc_size == lcc.size
+
+
+def test_diameter_of_two_equal_halves_is_the_first_ones():
+    # the path 0..9 (diameter 9) and, with the highest degree, a star on 19
+    # with leaves 10..18: neither holds more than n/2 vertices, so the LCC is
+    # the one with the smallest vertex, as `connected_components` numbers them
+    edges = [(v, v + 1) for v in range(9)] + [(19, v) for v in range(10, 19)]
+    g = MultiGraph.from_edge_list(20, edges)
+    assert int(np.argmax(g.degrees)) == 19
+    oracle = floyd_warshall(g)
+    first = np.arange(10)
+    expect = int(oracle[np.ix_(first, first)].max())
+    assert expect == 9
+    for method in ("exact", "ifub"):
+        res = diameter(g, method=method)
+        assert (res.diam, res.lcc_size) == (expect, 10)
+        assert res.component_fraction == 0.5
+
+
+@pytest.mark.parametrize("relabel_seed", [None, 2])
+def test_diameter_when_another_vertex_ties_for_the_highest_degree(relabel_seed):
+    # two hubs of degree 6 at the ends of the path 0-1-2-3, with 5 leaves
+    # each, and a path of 4 vertices apart; ids as they are or shuffled, so
+    # that iFUB's root is the vertex `np.argmax` picks or the other one
+    edges = [(0, 1), (1, 2), (2, 3)] + [(0, v) for v in range(4, 9)]
+    edges += [(3, v) for v in range(9, 14)] + [(14, 15), (15, 16), (16, 17)]
+    relabel = np.arange(18)
+    if relabel_seed is not None:
+        relabel = np.random.default_rng(relabel_seed).permutation(18)
+    g = MultiGraph.from_edge_list(18, relabel[np.array(edges)])
+    assert np.sort(g.degrees)[-2:].tolist() == [6, 6]
+    oracle = floyd_warshall(g)
+    lcc = relabel[:14]
+    expect = int(oracle[np.ix_(lcc, lcc)].max())
+    assert expect == 5
+    for method in ("exact", "ifub"):
+        res = diameter(g, method=method)
+        assert (res.diam, res.lcc_size) == (expect, 14)
 
 
 def test_diameter_methods_agree_medium():
@@ -377,11 +416,38 @@ def test_upper_bounds_of_a_batch_match_single_sweeps():
     single = [_bfs_levels(g, [s]) for s in sources]
     assert ecc.tolist() == [int(d.max()) for d in single]
     assert len(set(ecc.tolist())) >= 4
-    ub = _upper_bounds(g, members, sources, ecc)
+    ub = _upper_bounds(g, sources, ecc)
     expect = np.min([d + e for d, e in zip(single, ecc.tolist())], axis=0)
     assert np.array_equal(ub[members], expect[members])
     assert np.all(ub[18:] == -1)
     assert ub.dtype == np.int32
+    # sources whose eccentricities are all 9; then bounds in place of
+    # eccentricities, where 1 (entry level 9) is reached from 0 at level 3,
+    # before its entry, and 15 (entry level 6) from 0 at level 6
+    ends = np.array([0, 9, 17])
+    assert _eccentricities(g, members, ends).tolist() == [9, 9, 9]
+    for sources, ecc in ((ends, np.array([9, 9, 9])),
+                         (np.array([1, 0, 15, 9]), np.array([9, 2, 6, 12]))):
+        ub = _upper_bounds(g, sources, ecc)
+        single = [_bfs_levels(g, [s]) for s in sources]
+        expect = np.min([d + e for d, e in zip(single, ecc.tolist())], axis=0)
+        assert np.array_equal(ub[members], expect[members])
+        assert np.all(ub[18:] == -1)
+    assert ub[1] == 3 and ub[15] == 6
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_sorted_unique_matches_np_unique(dtype):
+    n = 400  # more than n/4 = 100 ids take the mask, fewer the sort
+    rng = np.random.default_rng(3)
+    cases = [np.array([], dtype=dtype), np.array([7], dtype=dtype),
+             np.full(50, 399, dtype=dtype), np.full(101, 0, dtype=dtype)]
+    cases += [rng.integers(0, n, size, dtype=dtype) for size in (99, 100, 101, 102)]
+    cases += [rng.integers(0, 30, 200, dtype=dtype), np.arange(n, dtype=dtype)]
+    for ids in cases:
+        got = _sorted_unique(ids, n)
+        expect = np.unique(ids)
+        assert np.array_equal(got, expect) and got.dtype == expect.dtype
 
 
 def test_diameter_sweep_counts():
