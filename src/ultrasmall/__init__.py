@@ -6,6 +6,7 @@ structural censuses, and the closed-form bounds they are validated against.
 """
 
 from .degrees import (
+    CmParams,
     PowerLawSpec,
     DegreeSequence,
     sample_iid_powerlaw,
@@ -14,7 +15,7 @@ from .degrees import (
     fix_parity,
 )
 from .multigraph import MultiGraph
-from .cm import generate_cm, PairingState, pair_next, complete_pairing
+from .cm import generate_cm
 from .pam import PamParams, PamGraph, generate_pam
 from .metrics import (
     bfs,
@@ -25,7 +26,6 @@ from .metrics import (
 )
 from .structure import census_mkc, explore, find_connectors, distance_to_core
 from .bounds import (
-    CmParams,
     asymptotic_constants,
     i_k,
     cm_mk_first_moment,

@@ -17,20 +17,6 @@ def round_half_up(x):
 
 
 @dataclass(frozen=True)
-class CmParams:
-    """Configuration-model parameters with derived constants."""
-
-    tau: float
-    d_min: int
-
-    def __post_init__(self):
-        if not 2.0 < self.tau < 3.0:
-            raise ValueError(f"tau must lie in (2,3), got {self.tau}")
-        if self.d_min < 3:
-            raise ValueError(f"d_min must be >= 3, got {self.d_min}")
-
-
-@dataclass(frozen=True)
 class AsymptoticConstants:
     tau: float
     d_fwd: int
@@ -464,23 +450,3 @@ def pam_mkc_probability(params, t, H):
                 return 0.0
             log_p += math.log(factor)
     return math.exp(log_p)
-
-
-def admissible_trees(params, t, k):
-    """Enumerate every admissible H for the given depth (k <= 1)."""
-    m = params.m
-    half, quarter = t // 2, t // 4
-    out = []
-    if k == 0:
-        for v in range(half + 1, t + 1):
-            out.append(MkcTree(root=v, k=0, edges={}))
-        return out
-    if k == 1:
-        from itertools import permutations
-
-        window = range(quarter + 1, half + 1)
-        for v in range(half + 1, t + 1):
-            for targets in permutations(window, m):
-                out.append(MkcTree(root=v, k=1, edges={v: tuple(targets)}))
-        return out
-    raise NotImplementedError("admissible-tree enumeration implemented for k <= 1")

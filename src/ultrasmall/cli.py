@@ -15,6 +15,7 @@ import numpy as np
 
 from . import bounds as _bounds
 from .degrees import (
+    CmParams,
     PowerLawSpec,
     DegreeSequence,
     sample_iid_powerlaw,
@@ -83,9 +84,9 @@ def _cmd_diameter(args):
 
 def _cmd_analyze(args):
     graph = read_edge_list(getattr(args, "in"))
-    spec = PowerLawSpec(tau=args.tau, d_min=args.dmin, n=graph.n)
+    params = CmParams(tau=args.tau, d_min=args.dmin)
     if args.what == "mkc":
-        cen = census_mkc(graph, spec, args.k if args.k is not None else 1)
+        cen = census_mkc(graph, params, args.k if args.k is not None else 1)
         sys.stdout.write("vertex\n")
         write_rows(sys.stdout, "%d\n", np.asarray(cen.members, dtype=np.int64) + 1)
         print(
@@ -93,7 +94,7 @@ def _cmd_analyze(args):
             file=sys.stderr,
         )
         return 0
-    core = extract_core(graph, spec, args.sigma)
+    core = extract_core(graph, params, args.sigma)
     if args.what == "core-dist":
         dist = distance_to_core(graph, core).distances
         unreached = np.isinf(dist)
@@ -105,12 +106,13 @@ def _cmd_analyze(args):
         write_rows(sys.stdout, "%s,%s\n", rows)
         return 0
     if args.what == "explore":
-        consts = _bounds.asymptotic_constants(spec)
-        k = args.k if args.k is not None else consts.k_plus(graph.n, args.eps)
+        k = args.k
+        if k is None:
+            k = _bounds.asymptotic_constants(params).k_plus(graph.n, args.eps)
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["vertex", "boundary", "collisions", "hit_core"])
         for v in range(graph.n):
-            eg = explore(graph, v, k, spec, core=core)
+            eg = explore(graph, v, k, params, core=core)
             writer.writerow(
                 [v + 1, len(eg.boundary), len(eg.collisions), int(eg.hit_core)]
             )
@@ -128,7 +130,7 @@ def _cmd_bounds(args):
             )
         else:
             consts = _bounds.asymptotic_constants(
-                PowerLawSpec(tau=p["tau"], d_min=p["d_min"], n=0)
+                CmParams(tau=p["tau"], d_min=p["d_min"])
             )
         out.update(
             tau=consts.tau,
@@ -180,21 +182,10 @@ def _cmd_experiment(args):
     with open(args.config) as fh:
         raw = json.load(fh)
     config = harness.ExperimentConfig(
-        model=raw["model"],
-        params=raw["params"],
-        sizes=tuple(raw["sizes"]),
-        replicas=raw["replicas"],
-        seed_base=raw["seed_base"],
-        measurements=tuple(raw.get("measurements", ["diameter"])),
-        eps=raw.get("eps", 0.1),
-        sigma=raw.get("sigma", 2.2),
-        eta=raw.get("eta", 0.05),
-        B=raw.get("B"),
-        C=raw.get("C"),
-        typical_pairs=raw.get("typical_pairs", 100),
-        explore_sample=raw.get("explore_sample", 1000),
-        mkc_k=raw.get("mkc_k", 1),
-        replica_budget_s=raw.get("replica_budget_s"),
+        **{
+            key: tuple(value) if key in ("sizes", "measurements") else value
+            for key, value in raw.items()
+        }
     )
     result = harness.run(config, threads=args.threads)
     os.makedirs(args.out, exist_ok=True)

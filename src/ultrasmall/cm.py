@@ -1,26 +1,15 @@
 """Configuration model: uniform half-edge pairing.
 
-Two construction paths are provided. `generate_cm` draws the whole uniform
-matching at once (a seeded permutation of the half-edge array paired
-consecutively, which realizes the same sequential uniform partner draws in
-one shot). `PairingState`/`pair_next` expose the incremental construction
-used by exploration arguments: an arbitrary unpaired half-edge is paired to
-a uniformly chosen remaining one, and the resulting graph law does not
-depend on the order of the arbitrary choices (exchangeability).
+`generate_cm` draws the whole uniform matching at once: a seeded
+permutation of the half-edge array, paired consecutively, which realizes
+the sequential uniform partner draws in one shot. The incremental pairing
+that exploration arguments use, and the exhaustive enumerations it is
+checked against, live in `ultrasmall.oracles`.
 """
-
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .multigraph import MultiGraph
-
-
-@dataclass(frozen=True)
-class HalfEdge:
-    vertex: int
-    slot: int
 
 
 class OddTotalDegreeError(ValueError):
@@ -42,128 +31,3 @@ def generate_cm(seq, seed):
     rng = np.random.default_rng(seed)
     perm = rng.permutation(ell)
     return MultiGraph.from_pairs(seq.degrees, perm.reshape(-1, 2))
-
-
-class PairingState:
-    """Mutable state of an incremental uniform pairing.
-
-    unpaired half-edges are kept in a compacted list with an index map so a
-    partner draw plus removal is O(1) (swap-remove).
-    """
-
-    def __init__(self, seq, seed):
-        self.seq = seq
-        self.unpaired = [
-            HalfEdge(v, s) for v in range(seq.n) for s in range(seq.degrees[v])
-        ]
-        self._pos = {he: i for i, he in enumerate(self.unpaired)}
-        self.paired = []
-        self.rng = np.random.default_rng(seed)
-
-    def __contains__(self, half_edge):
-        return half_edge in self._pos
-
-    def _remove(self, half_edge):
-        i = self._pos.pop(half_edge)
-        last = self.unpaired.pop()
-        if last != half_edge:
-            self.unpaired[i] = last
-            self._pos[last] = i
-
-
-def pair_next(state, chosen):
-    """Pair `chosen` to a uniform remaining half-edge; returns
-    (partner, state). The state is updated in place."""
-    if chosen not in state:
-        raise ValueError(f"{chosen} is already paired or unknown")
-    state._remove(chosen)
-    idx = int(state.rng.integers(len(state.unpaired)))
-    partner = state.unpaired[idx]
-    state._remove(partner)
-    state.paired.append((chosen, partner))
-    return partner, state
-
-
-def complete_pairing(state):
-    """Consume the remaining half-edges in index order and return the
-    resulting MultiGraph."""
-    while state.unpaired:
-        chosen = min(state.unpaired, key=lambda h: (h.vertex, h.slot))
-        pair_next(state, chosen)
-    return graph_from_paired(state)
-
-
-def graph_from_paired(state):
-    deg = state.seq.degrees
-    indptr = np.concatenate(([0], np.cumsum(deg)))
-    pairs = [
-        (indptr[a.vertex] + a.slot, indptr[b.vertex] + b.slot)
-        for a, b in state.paired
-    ]
-    return MultiGraph.from_pairs(deg, pairs)
-
-
-# -- exhaustive enumeration (oracles for small instances) --------------
-
-
-def enumerate_matchings(degrees):
-    """Yield every perfect matching of the half-edges of `degrees` as a
-    frozenset of (lo, hi) global-slot pairs. All (ell-1)!! matchings are
-    produced exactly once; under uniform pairing each has equal probability.
-    """
-    ell = int(sum(degrees))
-    if ell % 2 != 0:
-        raise OddTotalDegreeError("odd total degree")
-
-    def rec(free, acc):
-        if not free:
-            yield frozenset(acc)
-            return
-        first = free[0]
-        for i in range(1, len(free)):
-            other = free[i]
-            rest = free[1:i] + free[i + 1 :]
-            acc.append((first, other))
-            yield from rec(rest, acc)
-            acc.pop()
-
-    yield from rec(list(range(ell)), [])
-
-
-def matching_to_graph(degrees, matching):
-    return MultiGraph.from_pairs(np.asarray(degrees), sorted(matching))
-
-
-def enumerate_driver_distribution(seq, order="index"):
-    """Exact law of the final matching under the incremental driver.
-
-    At every step the next "arbitrary" half-edge is chosen by `order`
-    ('index' or 'reverse' over (vertex, slot)), then all partner branches
-    are explored with probability 1/(#remaining - 1) each. Returns a dict
-    {frozenset of ((v,s),(v,s)) pairs: Fraction probability}. Used to check
-    exchangeability: the distribution must not depend on `order`.
-    """
-    _check_even(seq)
-    half_edges = [
-        (v, s) for v in range(seq.n) for s in range(seq.degrees[v])
-    ]
-    pick = (
-        (lambda free: min(free)) if order == "index" else (lambda free: max(free))
-    )
-    dist = {}
-
-    def rec(free, acc, prob):
-        if not free:
-            key = frozenset(tuple(sorted(p)) for p in acc)
-            dist[key] = dist.get(key, Fraction(0)) + prob
-            return
-        chosen = pick(free)
-        rest = [h for h in free if h != chosen]
-        p = prob / len(rest)
-        for i, partner in enumerate(rest):
-            acc.append((chosen, partner))
-            rec(rest[:i] + rest[i + 1 :], acc, p)
-            acc.pop()
-
-    rec(half_edges, [], Fraction(1))
-    return dist

@@ -14,19 +14,28 @@ from .textio import read_rows, write_rows
 
 
 @dataclass(frozen=True)
-class PowerLawSpec:
-    """Parameters of the power-law degree law: exponent tau in (2,3),
-    minimum degree d_min >= 1, target size n."""
+class CmParams:
+    """Configuration-model parameters: the degree law's exponent tau in
+    (2,3) and minimum degree d_min >= 1."""
 
     tau: float
     d_min: int
-    n: int
 
     def __post_init__(self):
         if not 2.0 < self.tau < 3.0:
             raise ValueError(f"tau must lie in (2,3), got {self.tau}")
         if self.d_min < 1:
             raise ValueError(f"d_min must be >= 1, got {self.d_min}")
+
+
+@dataclass(frozen=True)
+class PowerLawSpec(CmParams):
+    """The degree law of `CmParams` with a target size n."""
+
+    n: int
+
+    def __post_init__(self):
+        super().__post_init__()
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
 

@@ -12,11 +12,11 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .degrees import PowerLawSpec, sample_iid_powerlaw, fix_parity
+from .degrees import CmParams, PowerLawSpec, sample_iid_powerlaw, fix_parity
 from .cm import generate_cm
 from .pam import PamParams, generate_pam
 from .metrics import diameter, typical_distance_sample, extract_core
@@ -61,7 +61,6 @@ class ExperimentConfig:
     measurements: tuple = ("diameter",)
     eps: float = 0.1
     sigma: float = 2.2
-    eta: float = 0.05
     B: float = None  # default 1/gamma_d from the feasible doubling rate
     C: float = None  # default log(sigma/log 2)
     typical_pairs: int = 100
@@ -79,13 +78,10 @@ class ExperimentConfig:
         for mkey in self.measurements:
             if mkey not in MEASUREMENTS:
                 raise ValueError(f"unknown measurement {mkey!r}")
+        self.model_params()  # rejects unknown or out-of-range params
 
     def model_params(self):
-        if self.model == "cm":
-            return PowerLawSpec(
-                tau=self.params["tau"], d_min=self.params["d_min"], n=0
-            )
-        return PamParams(m=self.params["m"], delta=self.params["delta"])
+        return (CmParams if self.model == "cm" else PamParams)(**self.params)
 
     def b_c(self):
         """(B, C) with documented defaults."""
@@ -133,17 +129,13 @@ class ExperimentResult:
         return out
 
 
-def _build_graph(config, size, seed):
-    if config.model == "cm":
-        spec = PowerLawSpec(
-            tau=config.params["tau"], d_min=config.params["d_min"], n=size
-        )
-        seq = sample_iid_powerlaw(spec, seed)
-        if seq.ell_n % 2 != 0:
-            seq = fix_parity(seq)
-        return generate_cm(seq, seed), seq
-    params = PamParams(m=config.params["m"], delta=config.params["delta"])
-    return generate_pam(params, size, seed), None
+def _build_graph(mp, size, seed):
+    if isinstance(mp, PamParams):
+        return generate_pam(mp, size, seed), None
+    seq = sample_iid_powerlaw(PowerLawSpec(mp.tau, mp.d_min, size), seed)
+    if seq.ell_n % 2 != 0:
+        seq = fix_parity(seq)
+    return generate_cm(seq, seed), seq
 
 
 def run_replica(config, size, index):
@@ -153,8 +145,8 @@ def run_replica(config, size, index):
     row.update(model=config.model, size=size, replica=index, seed=seed, error="")
     t0 = time.perf_counter()
     try:
-        graph, seq = _build_graph(config, size, seed)
         mp = config.model_params()
+        graph, seq = _build_graph(mp, size, seed)
         und = graph.undirected_view() if config.model == "pam" else graph
         consts = _bounds.asymptotic_constants(mp)
         core = None
@@ -178,15 +170,12 @@ def run_replica(config, size, index):
                 row["typical_mean"] = float(finite.mean())
                 row["typical_max"] = float(finite.max())
         if "mkc" in config.measurements:
-            census_graph = graph if config.model == "pam" else und
-            cen = census_mkc(census_graph, mp, config.mkc_k)
+            cen = census_mkc(graph, mp, config.mkc_k)
             row["mkc_count"] = cen.count
             if config.model == "cm":
                 row["mkc_expected"] = _bounds.cm_mk_first_moment(seq, config.mkc_k)
         if "core" in config.measurements or "exploration" in config.measurements:
-            core = extract_core(
-                graph if config.model == "pam" else und, mp, config.sigma
-            )
+            core = extract_core(graph, mp, config.sigma)
         if "core" in config.measurements:
             row["core_size"] = int(core.members.size)
             if core.members.size:
@@ -206,12 +195,9 @@ def run_replica(config, size, index):
             row["explore_multi_collision_frac"] = multi / sample.size
     except Exception as exc:  # recorded per row, batch continues
         row["error"] = f"{type(exc).__name__}: {exc}"
-    # wall-clock stays out of the CSV columns (byte-determinism contract);
-    # the budget flag is 0 whenever no budget is configured
-    elapsed = time.perf_counter() - t0
-    row["elapsed_s"] = round(elapsed, 3)
     row["timed_out"] = int(
-        config.replica_budget_s is not None and elapsed > config.replica_budget_s
+        config.replica_budget_s is not None
+        and time.perf_counter() - t0 > config.replica_budget_s
     )
     return row
 

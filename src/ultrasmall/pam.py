@@ -267,50 +267,6 @@ def generate_pam(params, t, seed, check_normalization=False):
     return PamGraph(params=params, t=t, xi=xi)
 
 
-def enumerate_pam_outcomes(params, t):
-    """Exhaustive outcome tree of PA_t: yields (xi_tuple, probability)
-    for every complete realization, probability by the chain rule of the
-    attachment law. Oracle for small t (the tree has prod_{s=2}^t s^m
-    leaves)."""
-    m, delta = params.m, params.delta
-    dm = delta / m
-    steps = [(w, j) for w in range(2, t + 1) for j in range(1, m + 1)]
-    deg = [0] * (t + 1)
-    deg[1] = 2 * m
-
-    def rec(i, acc, prob):
-        if i == len(steps):
-            yield tuple(acc), prob
-            return
-        w, j = steps[i]
-        c = (m * (w - 1) + (j - 1)) * (2.0 + dm) + 1.0 + dm
-        for target in range(1, w + 1):
-            if target == w:
-                p = (deg[w] + 1.0 + j * dm) / c
-            else:
-                p = (deg[target] + delta) / c
-            deg[target] += 1
-            deg[w] += 1
-            acc.append(target)
-            yield from rec(i + 1, acc, prob * p)
-            acc.pop()
-            deg[target] -= 1
-            deg[w] -= 1
-
-    first = tuple([1] * m)  # xi_{1,j} = 1 forced
-    if t == 1:
-        yield first, 1.0
-        return
-    for tail, prob in rec(0, [], 1.0):
-        yield first + tail, prob
-
-
-def xi_key(graph_or_xi):
-    """Flat tuple of all xi values, for outcome-frequency bookkeeping."""
-    xi = graph_or_xi.xi if isinstance(graph_or_xi, PamGraph) else graph_or_xi
-    return tuple(int(x) for x in np.asarray(xi).ravel())
-
-
 def write_pam(path, graph):
     """Text table of (w, j, xi_{w,j}) triples, 1-based, under a
     `# t <t> m <m>` header."""

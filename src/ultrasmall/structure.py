@@ -3,12 +3,11 @@ k-exploration graphs with collisions, boundary bounds, t-connectors and
 distance to the core."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .multigraph import MultiGraph
-from .pam import PamGraph, PamParams
+from .pam import PamGraph
 from . import bounds as _bounds
 from .metrics import UNREACHED, _bfs_levels
 
@@ -138,19 +137,42 @@ def explore(graph, root, k, model_params, core=None):
     """Deterministic truncated exploration of the realized graph.
 
     CM: the root follows its first d_min half-edge slots, every other
-    vertex its first d_min-1 not-yet-consumed slots (slot-index order).
-    PAM: every vertex follows its m out-edges in label order. An edge into
-    an already-included vertex is a collision and is not expanded.
+    vertex its first d_min-1 not-yet-consumed slots (slot-index order);
+    following a slot consumes it and its partner. PAM: every vertex
+    follows its m out-edges in label order. An edge into an
+    already-included vertex is a collision and is not expanded.
+
+    The model only lists the out-targets of a level's frontier, vertex by
+    vertex; which slots CM consumes does not depend on which targets turn
+    out to be new, so a whole level can be listed before it is checked.
     """
     if isinstance(graph, PamGraph):
-        return _explore_pam(graph, root, k, core)
-    return _explore_cm(graph, root, k, model_params, core)
+        xi = graph.xi
 
+        def out_targets(frontier):
+            return [x - 1 for x in xi[frontier].ravel().tolist()]
 
-def _explore_cm(graph, root, k, params, core=None):
-    d_min = params.d_min
-    core_set = set(int(v) for v in core.members) if core is not None else set()
-    consumed = set()  # globally consumed half-edge slots
+    else:
+        indptr, nbr, partner = graph.indptr, graph.nbr, graph.partner
+        d_min = model_params.d_min
+        consumed = set()  # globally consumed half-edge slots
+
+        def out_targets(frontier):
+            targets = []
+            for u in frontier:
+                budget = d_min if u == root else d_min - 1
+                for g in range(int(indptr[u]), int(indptr[u + 1])):
+                    if budget == 0:
+                        break
+                    if g in consumed:
+                        continue
+                    budget -= 1
+                    consumed.add(g)
+                    consumed.add(int(partner[g]))
+                    targets.append(int(nbr[g]))
+            return targets
+
+    core_set = set(core.members.tolist()) if core is not None else set()
     included = {root}
     levels = [[root]]
     collisions = []
@@ -158,60 +180,14 @@ def _explore_cm(graph, root, k, params, core=None):
     frontier = [root]
     for level in range(1, k + 1):
         nxt = []
-        for u in frontier:
-            budget = d_min if u == root and level == 1 else d_min - 1
-            start, stop = graph.indptr[u], graph.indptr[u + 1]
-            for g in range(start, stop):
-                if budget == 0:
-                    break
-                if g in consumed:
-                    continue
-                budget -= 1
-                p = int(graph.partner[g])
-                consumed.add(g)
-                consumed.add(p)
-                w = int(graph.nbr[g])
-                if w in included:
-                    collisions.append((level, w))
-                    continue
-                included.add(w)
-                nxt.append(w)
-                if core_entry is None and w in core_set:
-                    core_entry = level
-        levels.append(nxt)
-        frontier = nxt
-        if not frontier:
-            break
-    return ExplorationGraph(
-        root=root,
-        depth=k,
-        levels=levels,
-        collisions=collisions,
-        hit_core=core_entry is not None,
-        core_entry_level=core_entry,
-    )
-
-
-def _explore_pam(graph, root, k, core=None):
-    core_set = set(int(v) for v in core.members) if core is not None else set()
-    xi = graph.xi
-    included = {root}
-    levels = [[root]]
-    collisions = []
-    core_entry = 0 if root in core_set else None
-    frontier = [root]
-    for level in range(1, k + 1):
-        nxt = []
-        for u in frontier:
-            for target in xi[u]:
-                w = int(target) - 1
-                if w in included:
-                    collisions.append((level, w))
-                    continue
-                included.add(w)
-                nxt.append(w)
-                if core_entry is None and w in core_set:
-                    core_entry = level
+        for w in out_targets(frontier):
+            if w in included:
+                collisions.append((level, w))
+                continue
+            included.add(w)
+            nxt.append(w)
+            if core_entry is None and w in core_set:
+                core_entry = level
         levels.append(nxt)
         frontier = nxt
         if not frontier:

@@ -23,15 +23,12 @@ from ultrasmall.degrees import (
     quantile_sequence,
     fix_parity,
 )
-from ultrasmall.cm import (
-    generate_cm,
+from ultrasmall.cm import generate_cm
+from ultrasmall.pam import PamParams, PamGraph, generate_pam
+from ultrasmall.oracles import (
+    admissible_trees,
     enumerate_matchings,
     enumerate_driver_distribution,
-)
-from ultrasmall.pam import (
-    PamParams,
-    PamGraph,
-    generate_pam,
     enumerate_pam_outcomes,
     xi_key,
 )
@@ -201,17 +198,17 @@ def test_pam_neighborhood_probability_matches_enumeration():
     delta=-0.5, product formula vs enumeration to 1e-10, under 30 s."""
     t0 = time.perf_counter()
     for t in (4, 5, 6):
-        trees = B.admissible_trees(PAM_ENUM, t, 0) + B.admissible_trees(
+        trees = admissible_trees(PAM_ENUM, t, 0) + admissible_trees(
             PAM_ENUM, t, 1
         )
         enum = _full_enum_event_probs(t, trees)
         for H, expect in zip(trees, enum):
             assert abs(B.pam_mkc_probability(PAM_ENUM, t, H) - expect) < 1e-10
     for t in (7, 8):
-        for H in B.admissible_trees(PAM_ENUM, t, 0):
+        for H in admissible_trees(PAM_ENUM, t, 0):
             expect = _dp_event_prob_k0(t, H.root)
             assert abs(B.pam_mkc_probability(PAM_ENUM, t, H) - expect) < 1e-10
-        for H in B.admissible_trees(PAM_ENUM, t, 1):
+        for H in admissible_trees(PAM_ENUM, t, 1):
             expect = _pruned_event_prob_k1(t, H)
             assert abs(B.pam_mkc_probability(PAM_ENUM, t, H) - expect) < 1e-10
     assert time.perf_counter() - t0 < 30.0

@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ultrasmall.degrees import DegreeSequence, PowerLawSpec
-from ultrasmall.pam import PamParams, enumerate_pam_outcomes, PamGraph
+from ultrasmall.degrees import CmParams, DegreeSequence, PowerLawSpec
+from ultrasmall.pam import PamParams, PamGraph
+from ultrasmall.oracles import admissible_trees, enumerate_pam_outcomes
 from ultrasmall import bounds as B
 
 
@@ -20,10 +21,10 @@ def test_round_half_up():
 
 def test_cm_params_validation():
     with pytest.raises(ValueError):
-        B.CmParams(tau=3.2, d_min=3)
+        CmParams(tau=3.2, d_min=3)
     with pytest.raises(ValueError):
-        B.CmParams(tau=2.5, d_min=2)
-    B.CmParams(tau=2.5, d_min=3)
+        B.asymptotic_constants(CmParams(tau=2.5, d_min=2))
+    B.asymptotic_constants(CmParams(tau=2.5, d_min=3))
 
 
 def test_asymptotic_constants_cm():
@@ -231,7 +232,7 @@ def test_pam_mkc_probability_hand_value():
 @pytest.mark.parametrize("t", [4, 5])
 def test_pam_mkc_probability_vs_enumeration_k0(t):
     params = PamParams(2, -0.5)
-    for H in B.admissible_trees(params, t, 0):
+    for H in admissible_trees(params, t, 0):
         expect = 0.0
         for xi, p in enumerate_pam_outcomes(params, t):
             g = PamGraph(
@@ -247,12 +248,12 @@ def test_pam_mkc_probability_vs_enumeration_k0(t):
 
 def test_admissible_trees_counts():
     params = PamParams(2, -0.5)
-    assert len(B.admissible_trees(params, 4, 0)) == 2  # roots 3, 4
-    assert len(B.admissible_trees(params, 4, 1)) == 0  # window (1,2] too small
-    assert len(B.admissible_trees(params, 6, 1)) == 6  # 3 roots x 2 orders
-    assert len(B.admissible_trees(params, 8, 1)) == 8  # 4 roots x perms of {3,4}
+    assert len(admissible_trees(params, 4, 0)) == 2  # roots 3, 4
+    assert len(admissible_trees(params, 4, 1)) == 0  # window (1,2] too small
+    assert len(admissible_trees(params, 6, 1)) == 6  # 3 roots x 2 orders
+    assert len(admissible_trees(params, 8, 1)) == 8  # 4 roots x perms of {3,4}
     with pytest.raises(NotImplementedError):
-        B.admissible_trees(params, 8, 2)
+        admissible_trees(params, 8, 2)
 
 
 def test_inadmissible_trees_raise():

@@ -3,10 +3,14 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ultrasmall
 from ultrasmall.cli import main
 from ultrasmall.degrees import (
     DegreeSequence,
@@ -138,6 +142,23 @@ def test_analyze_core_dist_and_explore(tmp_path, capsys):
     assert len(lines) == 401
 
 
+def test_analyze_explore_with_k_needs_no_constants(tmp_path, capsys):
+    # d_min = 2 means d_fwd = 1, which has no limit constants; an explicit
+    # --k needs none
+    graph = tmp_path / "g.txt"
+    graph.write_text("1 2\n2 3\n3 1\n")
+    rc = main(
+        ["analyze", "--in", str(graph), "--what", "explore",
+         "--tau", "2.5", "--dmin", "2", "--k", "2"]
+    )
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the root reaches both other vertices, and the edge between them is a
+    # collision; every vertex is in the core, as (log 3)^2.2 < 2
+    assert lines == ["vertex,boundary,collisions,hit_core", "1,0,1,1",
+                     "2,0,1,1", "3,0,1,1"]
+
+
 def test_bounds_subcommand(capsys):
     rc = main(
         ["bounds", "--which", "constants",
@@ -216,6 +237,48 @@ def test_experiment_passes_replica_budget(tmp_path):
     assert [r["timed_out"] for r in rows] == ["1"]
 
 
+@pytest.mark.parametrize(
+    "extra, misspelt",
+    [
+        ({"typical_pair": 10}, "typical_pair"),
+        ({"params": {"tau": 2.5, "dmin": 3}}, "dmin"),
+    ],
+    ids=["top-level", "params"],
+)
+def test_experiment_rejects_unknown_config_keys(tmp_path, extra, misspelt):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "model": "cm",
+                "params": {"tau": 2.5, "d_min": 3},
+                "sizes": [80],
+                "replicas": 1,
+                "seed_base": 11,
+                "measurements": ["typical"],
+                **extra,
+            }
+        )
+    )
+    out_dir = tmp_path / "results"
+    with pytest.raises(TypeError, match=misspelt):
+        main(["experiment", "--config", str(cfg), "--out", str(out_dir)])
+    assert not out_dir.exists()
+
+
+def test_package_and_cli_do_not_import_the_oracles():
+    code = (
+        "import sys, ultrasmall, ultrasmall.cli; "
+        "print('ultrasmall.oracles' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(ultrasmall.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
+
+
 # SHA-256 of the files and CSV bodies the package writes for fixed seeds:
 # any change of an output byte (number spelling, line order, headers, the
 # seed -> graph map) fails here
@@ -228,6 +291,7 @@ PINNED_DIGESTS = {
     "core-dist.csv": "7f150a482eaa0a2e9f8f4daf9efffd1e5cbd0130d77410e258a0ad1e265f4333",
     "mkc.csv": "b42fe1187ad8609719b23b227efb17e15919a9c1584856ac7074ea6e53d880d6",
     "diameter.csv": "0dbbd4e287592fcdd4026d9bfe6e68f6ef1441862580cc23436369914b83cec4",
+    "explore.csv": "f8e99019ff62c03ebbdbcce82d88d91ecd77c29f2ebde7f4ba0e4ae4869bbaa0",
 }
 
 
@@ -255,6 +319,9 @@ def test_output_bytes_are_pinned(tmp_path, capsys):
     outputs["core-dist.csv"] = capsys.readouterr().out.encode()
     assert main(analyze + ["--what", "mkc", "--dmin", "2", "--k", "1"]) == 0
     outputs["mkc.csv"] = capsys.readouterr().out.encode()
+    # the explorations cross cm.txt's self-loops and repeated edges
+    assert main(analyze + ["--what", "explore", "--dmin", "3", "--k", "3"]) == 0
+    outputs["explore.csv"] = capsys.readouterr().out.encode()
     # `diameter` labels the components and keeps the largest, 781 of the
     # 1000 vertices
     assert main(["diameter", "--in", path("cm.txt")]) == 0

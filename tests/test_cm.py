@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from ultrasmall.degrees import DegreeSequence
-from ultrasmall.cm import (
+from ultrasmall.cm import OddTotalDegreeError, generate_cm
+from ultrasmall.oracles import (
     HalfEdge,
-    OddTotalDegreeError,
-    generate_cm,
     PairingState,
     pair_next,
     complete_pairing,

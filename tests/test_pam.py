@@ -13,11 +13,10 @@ from ultrasmall.pam import (
     PamGraph,
     normalizer,
     generate_pam,
-    enumerate_pam_outcomes,
-    xi_key,
     write_pam,
     read_pam,
 )
+from ultrasmall.oracles import enumerate_pam_outcomes, xi_key
 
 
 def test_params_validation_and_derived():
