@@ -75,8 +75,8 @@ def i_k(d_min_or_m, k, model):
         raise ValueError("k must be >= 0")
     if model == "cm":
         d = d_min_or_m
-        if d < 2:
-            raise ValueError("d_min must be >= 2")
+        if d < 1:
+            raise ValueError("d_min must be >= 1")
         if d == 2:
             return d * k
         return d * ((d - 1) ** k - 1) // (d - 2)

@@ -153,7 +153,9 @@ def check_polynomial_condition(seq, tau, delta):
 
     Reports the largest c1 with 1-F(x) >= c1 x^-(tau-1+delta) for all
     x <= n^alpha, alpha = min(0.6, 1/(tau-1+delta)), and the smallest c2
-    with 1-F(x) <= c2 x^-(tau-1-delta) for all x >= 1.
+    with 1-F(x) <= c2 x^-(tau-1-delta) for all x >= 1. The upper bound
+    holds when the c2 that x <= n^alpha need serves every x: a larger x
+    that needs more is a tail heavier than x^-(tau-1-delta).
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -168,12 +170,13 @@ def check_polynomial_condition(seq, tau, delta):
     ccdf = 1.0 - np.searchsorted(degrees, xs, side="right") / seq.n
     low = xs <= x_hi
     c1_hat = float(np.min(ccdf[low] * xs[low] ** (tau - 1.0 + delta)))
-    c2_hat = float(np.max(ccdf * xs ** (tau - 1.0 - delta)))
+    upper = ccdf * xs ** (tau - 1.0 - delta)
+    c2_hat = float(np.max(upper))
     return PolynomialConditionReport(
         c1_hat=c1_hat,
         c2_hat=c2_hat,
         holds_lower=c1_hat > 0.0,
-        holds_upper=True,
+        holds_upper=bool(np.max(upper[low]) >= c2_hat),
         alpha=alpha,
     )
 

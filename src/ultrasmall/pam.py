@@ -15,13 +15,13 @@ realizes the D_v + delta weights exactly for any delta > -m.
 
 The sampler's uniforms are the draws `Generator.random()` and
 `Generator.integers(k)` of a PCG64 Generator would give, one by one, but it
-reads the raw 64-bit words in blocks (`random_raw`) and decodes them as
-numpy does: a double is the word's top 53 bits times 2^-53; `integers(k)`
-is Lemire's multiply-and-reject on 32-bit halves, the low half of a word
-first and the high half kept for the next one; `integers(1)` draws
-nothing.  On return the Generator is left where those calls would have
-left it, so a seed gives the same xi, and a shared Generator the same later
-draws, as calling numpy once per draw.
+reads the raw 64-bit words in blocks (`random_raw`) and decodes them inside
+its attachment loop as numpy does: a double is the word's top 53 bits times
+2^-53; `integers(k)` is Lemire's multiply-and-reject on 32-bit halves, the
+low half of a word first and the high half kept for the next one;
+`integers(1)` draws nothing.  On return a Generator it was given is left
+where those calls would have left it, so a seed gives the same xi, and a
+shared Generator the same later draws, as calling numpy once per draw.
 """
 
 from array import array
@@ -124,71 +124,43 @@ _LOW32 = 0xFFFFFFFF
 _BLOCK = 2**12
 
 
-def _pcg64_draws(rng, block):
-    """Closures `random()`, `integers(k)` (1 <= k <= 2^32) and `close()`
-    giving what `rng.random()` and `rng.integers(k)` would, decoded from raw
-    words read `block` at a time. Until `close()` runs, `rng` stands ahead
-    of the draws; `close()` puts it back where those numpy calls would have
-    left it."""
-    bg = rng.bit_generator
-    if not isinstance(bg, np.random.PCG64):
-        raise TypeError(f"need a PCG64 Generator, got {type(bg).__name__}")
-    saved = bg.state
-    pending, half = saved["has_uint32"], saved["uinteger"]
-    words = bg.random_raw(block).tolist()
-    pos = 0  # words used of this block
-    done = 0  # words of earlier blocks
+class _Pcg64Words:
+    """The raw 64-bit words of a PCG64 Generator, read `block` at a time as
+    a list of Python ints. `pending, half` is the Generator's pending high
+    half-word when reading began. Until `close` runs, the Generator stands
+    ahead of the words drawn; with `fresh` (a Generator nobody sees again)
+    its state is neither read nor put back."""
 
-    def refill():
-        nonlocal words, pos, done
-        done += block
-        words = bg.random_raw(block).tolist()
-        pos = 0
+    def __init__(self, rng, block, fresh=False):
+        bg = rng.bit_generator
+        if not isinstance(bg, np.random.PCG64):
+            raise TypeError(f"need a PCG64 Generator, got {type(bg).__name__}")
+        self._bg, self.block, self._read = bg, block, 0
+        self._saved = None if fresh else bg.state
+        self.pending = self.half = 0
+        if not fresh:
+            self.pending = self._saved["has_uint32"]
+            self.half = self._saved["uinteger"]
 
-    def random():
-        nonlocal pos
-        if pos == block:
-            refill()
-        pos += 1
-        return (words[pos - 1] >> 11) * _DOUBLE_UNIT
+    def next(self):
+        """The next `block` words."""
+        self._read += self.block
+        return self._bg.random_raw(self.block).tolist()
 
-    def integers(k):
-        nonlocal pos, pending, half
-        # numpy draws nothing for a range of one value
-        if k == 1:
-            return 0
-        while True:
-            # next_uint32: a pending high half, else the low half of a word
-            if pending:
-                pending = 0
-                x = half
-            else:
-                if pos == block:
-                    refill()
-                word = words[pos]
-                pos += 1
-                pending, half = 1, word >> 32
-                x = word & _LOW32
-            # Lemire: the high half of x * k, with x redrawn while the low
-            # half falls below 2^32 mod k (worked out only when it is below
-            # k, since 2^32 mod k < k)
-            p = x * k
-            low = p & _LOW32
-            if low >= k or low >= (2**32 - k) % k:
-                return p >> 32
-
-    def close():
-        # step the saved state past the words used: unlike `advance`,
-        # `random_raw` leaves the pending half-word as it is set here. The
-        # full blocks are skipped without an array; the last block's words
-        # come as one small array, which costs less than a skip
-        saved["has_uint32"], saved["uinteger"] = pending, half
-        bg.state = saved
-        if done:
-            bg.random_raw(done, output=False)
-        bg.random_raw(pos)
-
-    return random, integers, close
+    def close(self, unused, pending, half):
+        """Put the Generator where numpy's own draws would have left it:
+        `unused` words of the last block were not drawn, and `pending,
+        half` is the pending half-word (`random_raw` keeps it, unlike
+        `advance`). Earlier blocks are skipped without an array; the last
+        block's words come as one small array, which costs less than a
+        skip."""
+        if self._saved is None:
+            return
+        self._saved["has_uint32"], self._saved["uinteger"] = pending, half
+        self._bg.state = self._saved
+        if self._read > self.block:
+            self._bg.random_raw(self._read - self.block, output=False)
+        self._bg.random_raw(self.block - unused)
 
 
 def generate_pam(params, t, seed, check_normalization=False):
@@ -198,16 +170,18 @@ def generate_pam(params, t, seed, check_normalization=False):
     from it by its own `random()` or `integers()` call."""
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    rng = (
-        seed
-        if isinstance(seed, np.random.Generator)
-        else np.random.default_rng(seed)
-    )
+    shared = isinstance(seed, np.random.Generator)
+    rng = seed if shared else np.random.default_rng(seed)
     m, delta = params.m, params.delta
     dm = delta / m
     # an attachment takes 1.5-3 words on average: the first block serves
     # most small calls whole, and stays cheap to read for t = 3
-    rand, randint, close = _pcg64_draws(rng, min(_BLOCK, 2 * m * t + 8))
+    size = min(_BLOCK, 2 * m * t + 8)
+    words = _Pcg64Words(rng, size, fresh=not shared)
+    pending, half = words.pending, words.half
+    raw = words.next()
+    pos = 0  # words drawn of this block
+    unit, low32 = _DOUBLE_UNIT, _LOW32
 
     # endpoint multiset: one entry per half-edge endpoint, so vertex v
     # appears exactly D(v) times; used as the degree-proportional proposal.
@@ -221,6 +195,11 @@ def generate_pam(params, t, seed, check_normalization=False):
     deg[1] = 2 * m
     total = 2 * m  # running total degree, for the normalization assert
 
+    # The uniforms are numpy's, decoded inline from the words in numpy's
+    # order: `random()` takes a whole word; `integers(k)` takes a pending
+    # high half, else the low half of a new word, keeping its high half
+    # pending, and applies Lemire's multiply-and-reject; `integers(1)`
+    # draws nothing. Every word read first refills an exhausted block.
     try:
         for w in range(2, t + 1):
             deg_w = 0
@@ -231,29 +210,61 @@ def generate_pam(params, t, seed, check_normalization=False):
                 if check_normalization:
                     rest = (total - deg_w) + (w - 1) * delta
                     assert abs((w_self + rest) / c - 1.0) < 1e-12
-                if rand() < w_self / c:
+                if pos == size:
+                    raw, pos = words.next(), 0
+                u = (raw[pos] >> 11) * unit
+                pos += 1
+                if u < w_self / c:
                     target = w
-                elif delta <= 0:
-                    # proposal ~ degree, accept with (D_v + delta)/D_v
+                else:
+                    # proposal: a uniform endpoint, so v with weight D_v
+                    k, uniform = ne, False
+                    if delta > 0:
+                        # mixture: a uniform vertex with weight (w-1) delta
+                        if pos == size:
+                            raw, pos = words.next(), 0
+                        u = (raw[pos] >> 11) * unit
+                        pos += 1
+                        s_deg = total - deg_w
+                        if u * (s_deg + (w - 1) * delta) < (w - 1) * delta:
+                            k, uniform = w - 1, True
                     while True:
-                        v = endpoints[randint(ne)]
+                        # integers(k)
+                        if k == 1:
+                            p = 0
+                        elif pending:
+                            pending = 0
+                            p = half * k
+                        else:
+                            if pos == size:
+                                raw, pos = words.next(), 0
+                            word = raw[pos]
+                            pos += 1
+                            p = (word & low32) * k
+                            pending, half = 1, word >> 32
+                        # Lemire: redraw while the low half of x * k falls
+                        # below 2^32 mod k (worked out only when it is below
+                        # k, since 2^32 mod k < k)
+                        p_low = p & low32
+                        if p_low < k and p_low < (2**32 - k) % k:
+                            continue
+                        if uniform:
+                            target = 1 + (p >> 32)
+                            break
+                        v = endpoints[p >> 32]
                         if v == w:
                             continue
-                        dv = deg[v]
-                        if delta == 0 or rand() * dv < dv + delta:
-                            target = v
-                            break
-                else:
-                    # delta > 0: degree part plus uniform part as a mixture
-                    s_deg = total - deg_w
-                    if rand() * (s_deg + (w - 1) * delta) < (w - 1) * delta:
-                        target = 1 + randint(w - 1)
-                    else:
-                        while True:
-                            v = endpoints[randint(ne)]
-                            if v != w:
-                                target = v
-                                break
+                        if delta < 0:
+                            # accept v with (D_v + delta)/D_v
+                            if pos == size:
+                                raw, pos = words.next(), 0
+                            u = (raw[pos] >> 11) * unit
+                            pos += 1
+                            dv = deg[v]
+                            if u * dv >= dv + delta:
+                                continue
+                        target = v
+                        break
                 endpoints[ne] = target
                 endpoints[ne + 1] = w
                 ne += 2
@@ -262,7 +273,7 @@ def generate_pam(params, t, seed, check_normalization=False):
                 total += 2
                 deg_w = deg[w]
     finally:
-        close()
+        words.close(size - pos, pending, half)
     xi = np.frombuffer(endpoints[::2], dtype=np.intc).reshape(t, m)
     return PamGraph(params=params, t=t, xi=xi)
 

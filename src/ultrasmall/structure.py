@@ -23,35 +23,37 @@ class MkcCensus:
         return len(self.members)
 
 
-def _is_tree_ball(graph, root, k, degree_ok):
-    """Depth-k exploration-tree check shared by both models: every edge out
-    of an interior vertex (depth < k) must reach a fresh vertex of
-    admissible degree. Self-loops, multi-edges and cycles among explored
-    edges fail; edges among depth-k boundary vertices are unconstrained
-    (they are exactly what the moment formulas leave free)."""
-    if not degree_ok(root):
-        return None
-    entry = {root: -1}  # vertex -> slot through which it was entered
-    depth = {root: 0}
-    queue = [root]
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        if depth[u] >= k:
-            continue
-        for g in range(int(graph.indptr[u]), int(graph.indptr[u + 1])):
-            if g == entry[u]:
-                continue
-            w = int(graph.nbr[g])
-            if w in depth:  # self-loop, multi-edge or cycle
-                return None
-            if not degree_ok(w):
-                return None
-            depth[w] = depth[u] + 1
-            entry[w] = int(graph.partner[g])
-            queue.append(w)
-    return set(depth)
+def _tree_balls(roots, k, admissible, expand):
+    """Depth-k exploration-tree check shared by both models, for every
+    root at once, level by level. Every edge out of an interior vertex
+    (depth < k) must reach a vertex of admissible degree that no edge of
+    the same ball reached before: a self-loop, a multi-edge or a cycle
+    among the explored edges repeats a (root, vertex) pair. Edges among
+    depth-k boundary vertices are unconstrained (they are exactly what
+    the moment formulas leave free). `expand(vertex, entry)` lists a
+    level's edges other than the ones each vertex was entered by, as
+    (row of the level, vertex reached, its entry) arrays; the roots'
+    entry is -1. Returns the mask of roots whose ball passes and the
+    (root index, vertex) pairs of those balls."""
+    n = admissible.size
+    owner = np.arange(roots.size)
+    vertex, entry = roots, np.full(roots.size, -1)
+    ok = np.ones(roots.size, dtype=bool)
+    owners, vertices = [owner], [vertex]
+    for _ in range(k):
+        row, vertex, entry = expand(vertex, entry)
+        owner = owner[row]
+        ok[owner[~admissible[vertex]]] = False
+        keep = ok[owner]
+        owner, vertex = owner[keep], vertex[keep]
+        entry = None if entry is None else entry[keep]
+        owners.append(owner)
+        vertices.append(vertex)
+    owner, vertex = np.concatenate(owners), np.concatenate(vertices)
+    key = np.sort(owner * n + vertex)
+    ok[key[1:][key[1:] == key[:-1]] // n] = False
+    keep = ok[owner]
+    return ok, owner[keep], vertex[keep]
 
 
 def census_mkc(graph, model_params, k):
@@ -64,51 +66,51 @@ def census_mkc(graph, model_params, k):
 
 
 def _census_mkc_cm(graph, params, k):
+    # roots and the rest of the ball alike have degree d_min
     d_min = params.d_min
-    deg = graph.degrees
-    members = []
-    for v in np.nonzero(deg == d_min)[0]:
-        ball = _is_tree_ball(graph, int(v), k, lambda u: deg[u] == d_min)
-        if ball is None:
-            continue
-        ik = _bounds.i_k(d_min, k, "cm")
-        assert len(ball) == ik + 1
-        members.append(int(v))
-    return MkcCensus(k=k, members=members, i_k=_bounds.i_k(d_min, k, "cm"))
+    admissible = graph.degrees == d_min
+    roots = np.flatnonzero(admissible)
+    ik = _bounds.i_k(d_min, k, "cm")
+    slots = np.arange(d_min)
+
+    def expand(vertex, entry):
+        # every vertex explored has exactly d_min slots
+        slot = graph.indptr[vertex][:, None] + slots
+        leave = slot != entry[:, None]
+        slot = slot[leave]
+        return np.nonzero(leave)[0], graph.nbr[slot], graph.partner[slot]
+
+    ok, owner, _ = _tree_balls(roots, k, admissible, expand)
+    # a ball that passes is the minimal depth-k tree: i_k edges
+    assert np.all(np.bincount(owner, minlength=roots.size)[ok] == ik + 1)
+    return MkcCensus(k=k, members=roots[ok].tolist(), i_k=ik)
 
 
 def _census_mkc_pam(graph, k):
-    t, m = graph.t, graph.m
-    und = graph.undirected_view()
+    # root: aged in (t/2, t] with final degree m, so in-degree 0; the rest
+    # of the ball: aged in (t/4, t/2] with final degree m+1, so in-degree
+    # 1 from the vertex it was reached from. The ball therefore follows
+    # xi rows (out-edges) only
+    t, m, xi = graph.t, graph.m, graph.xi
     deg = graph.degrees()
     half, quarter = t // 2, t // 4
+    admissible = np.zeros(t, dtype=bool)
+    admissible[quarter:half] = deg[quarter:half] == m + 1
+    roots = half + np.flatnonzero(deg[half:] == m)
+    ik = _bounds.i_k(m, k, "pam")
 
-    def degree_ok(u):
-        # root is handled separately; others must be aged in
-        # (t/4, t/2] with final degree m+1
-        return quarter < u + 1 <= half and deg[u] == m + 1
+    def expand(vertex, entry):
+        row = np.repeat(np.arange(vertex.size), m)
+        return row, (xi[vertex] - 1).ravel(), None
 
-    members = []
-    claimed = {}
-    for v0 in range(half, t):  # v in [t] \ [t/2], 0-based v0
-        if deg[v0] != m:
-            continue
-        if k == 0:
-            ball = {v0}
-        else:
-            ball = _is_tree_ball(
-                und, v0, k, lambda u: u == v0 or degree_ok(u)
-            )
-            if ball is None:
-                continue
-        for u in ball:
-            if u in claimed:  # provably impossible (disjoint balls)
-                raise RuntimeError(
-                    f"balls of members {claimed[u] + 1} and {v0 + 1} overlap"
-                )
-            claimed[u] = v0
-        members.append(v0)
-    return MkcCensus(k=k, members=members, i_k=_bounds.i_k(m, k, "pam"))
+    ok, owner, vertex = _tree_balls(roots, k, admissible, expand)
+    assert np.all(np.bincount(owner, minlength=roots.size)[ok] == ik)
+    # provably impossible (a shared vertex would have in-degree 2)
+    shared = np.bincount(vertex, minlength=t) > 1
+    if shared.any():
+        a, b = roots[owner[vertex == np.argmax(shared)][:2]] + 1
+        raise RuntimeError(f"balls of members {a} and {b} overlap")
+    return MkcCensus(k=k, members=roots[ok].tolist(), i_k=ik)
 
 
 @dataclass
@@ -223,19 +225,15 @@ class ConnectorQuery:
 def find_connectors(graph, A, i):
     """Scan [t] \\ [t/2] for t-connectors between A and {i} (1-based
     vertex labels)."""
-    t, half = graph.t, graph.t // 2
+    half = graph.t // 2
     A = set(int(a) for a in A)
     if any(not 1 <= a <= half for a in A):
         raise ValueError("A must be a subset of [t/2]")
     if not 1 <= i <= half or i in A:
         raise ValueError("i must lie in [t/2] \\ A")
-    connectors = []
-    for j in range(half + 1, t + 1):
-        targets = graph.xi[j - 1]
-        hit_a = any(int(x) in A for x in targets)
-        hit_i = any(int(x) == i for x in targets)
-        if hit_a and hit_i:
-            connectors.append(j)
+    young = graph.xi[half:]
+    hit = np.isin(young, list(A)).any(axis=1) & (young == i).any(axis=1)
+    connectors = (half + 1 + np.flatnonzero(hit)).tolist()
     return ConnectorQuery(A=A, i=i, connectors=connectors)
 
 

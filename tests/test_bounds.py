@@ -62,10 +62,14 @@ def test_threshold_indices():
 def test_i_k_values():
     assert [B.i_k(3, k, "cm") for k in range(4)] == [0, 3, 9, 21]
     assert [B.i_k(2, k, "cm") for k in range(4)] == [0, 2, 4, 6]
+    # d_min = 1: the root's one edge to a degree-1 vertex ends the tree
+    assert [B.i_k(1, k, "cm") for k in range(4)] == [0, 1, 1, 1]
     assert [B.i_k(2, k, "pam") for k in range(4)] == [1, 3, 7, 15]
     assert [B.i_k(1, k, "pam") for k in range(4)] == [1, 2, 3, 4]
     with pytest.raises(ValueError):
         B.i_k(3, -1, "cm")
+    with pytest.raises(ValueError):
+        B.i_k(0, 1, "cm")
     with pytest.raises(ValueError):
         B.i_k(3, 1, "other")
 

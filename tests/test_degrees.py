@@ -90,6 +90,15 @@ def test_polynomial_condition_on_quantile_sequence():
     assert report.c2_hat < math.inf
 
 
+def test_polynomial_condition_rejects_a_heavier_tail():
+    """A tau = 2.1 sequence has 1-F(x) ~ x^-1.1, heavier than the
+    x^-(2.9-1-0.1) = x^-1.8 the upper bound allows for tau = 2.9."""
+    seq = quantile_sequence(PowerLawSpec(tau=2.1, d_min=3, n=50_000))
+    report = check_polynomial_condition(seq, 2.9, delta=0.1)
+    assert not report.holds_upper
+    assert report.holds_lower
+
+
 def test_fix_parity():
     seq = DegreeSequence(np.array([3, 3, 3], dtype=np.int64))
     assert seq.ell_n % 2 == 1

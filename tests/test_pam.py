@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ultrasmall.pam import (
-    _pcg64_draws,
+    _Pcg64Words,
     PamParams,
     PamGraph,
     normalizer,
@@ -114,27 +114,128 @@ def test_sampler_bytes_are_pinned():
 
 @pytest.mark.parametrize("pending", [False, True])
 def test_word_decoding_matches_generator(pending):
-    """`random()` and `integers(k)` decoded from raw words equal the
-    Generator's own draws, starting with and without a pending half-word,
-    for small k and for k where Lemire's rejection fires often (2^31 + 1
-    rejects about half its draws, 3 * 2^30 a quarter); blocks of 5 words
-    make it refill. After `close()` the Generator's state is numpy's."""
+    """`random()` and `integers(k)` decoded from the raw words as
+    `generate_pam` decodes them equal the Generator's own draws, starting
+    with and without a pending half-word, for small k and for k where
+    Lemire's rejection fires often (2^31 + 1 rejects about half its draws,
+    3 * 2^30 a quarter); blocks of 5 words make it refill. After `close()`
+    the Generator's state is numpy's."""
     bounds = [1, 2, 3, 10, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
     ref, rng = np.random.default_rng(77), np.random.default_rng(77)
     if pending:
         ref.integers(5)
         rng.integers(5)
-    random, integers, close = _pcg64_draws(rng, 5)
+    words = _Pcg64Words(rng, 5)
+    pending, half = words.pending, words.half
+    raw, pos = words.next(), 0
+
+    def word():
+        # the next word, reading a new block when this one is used
+        nonlocal raw, pos
+        if pos == words.block:
+            raw, pos = words.next(), 0
+        pos += 1
+        return raw[pos - 1]
+
+    def random():
+        return (word() >> 11) * 2.0**-53
+
+    def integers(k):
+        nonlocal pending, half
+        if k == 1:
+            return 0
+        while True:
+            if pending:
+                pending, x = 0, half
+            else:
+                w = word()
+                x, pending, half = w & 0xFFFFFFFF, 1, w >> 32
+            p = x * k
+            if (p & 0xFFFFFFFF) >= (2**32 - k) % k:
+                return p >> 32
+
     picks = np.random.default_rng(1).integers(len(bounds) + 1, size=3000)
     for pick in picks.tolist():
         if pick == len(bounds):
             assert random() == ref.random()
         else:
             assert integers(bounds[pick]) == ref.integers(bounds[pick])
-    close()
+    words.close(words.block - pos, pending, half)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert rng.random() == ref.random()
     assert rng.integers(1000) == ref.integers(1000)
+
+
+def per_draw_pam(params, t, rng):
+    """The attachment law with one `rng.random()` or `rng.integers(k)`
+    call per uniform: the stream `generate_pam` must reproduce."""
+    m, delta = params.m, params.delta
+    endpoints = [1] * (2 * m)
+    deg = [0] * (t + 1)
+    deg[1] = total = 2 * m
+    for w in range(2, t + 1):
+        deg_w = 0
+        for j in range(1, m + 1):
+            w_self = deg_w + 1.0 + j * delta / m
+            if rng.random() < w_self / normalizer(params, w, j):
+                target = w
+            elif delta > 0 and rng.random() * (
+                total - deg_w + (w - 1) * delta
+            ) < (w - 1) * delta:
+                target = 1 + int(rng.integers(w - 1))
+            else:
+                while True:
+                    v = endpoints[rng.integers(len(endpoints))]
+                    if v == w:
+                        continue
+                    dv = deg[v]
+                    if delta >= 0 or rng.random() * dv < dv + delta:
+                        target = v
+                        break
+            endpoints += [target, w]
+            deg[target] += 1
+            deg[w] += 1
+            total += 2
+            deg_w = deg[w]
+    return np.array(endpoints[::2], dtype=np.intc).reshape(t, m)
+
+
+# numpy's PCG64 steps its 128-bit state s to s * _PCG_MULT + inc, then
+# outputs the XSL-RR of the new state, which is the word 0 for state 0
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _zero_word_generator(position, pending):
+    """A PCG64 Generator whose raw word number `position` is 0, so that
+    any half of it makes Lemire's rule reject for k not a power of 2."""
+    inc = 2 * position + 1
+    state, inverse = 0, pow(_PCG_MULT, -1, 2**128)
+    for _ in range(position + 1):
+        state = (state - inc) * inverse % 2**128
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": int(pending),
+        "uinteger": 12345,
+    }
+    return rng
+
+
+@pytest.mark.parametrize("pending", [False, True])
+def test_sampler_matches_per_draw_stream_through_rejections(pending):
+    """On Generators whose word number 0..39 is 0, where Lemire's rule
+    rejects the half-words the proposal draws, `generate_pam` gives the
+    xi and leaves the Generator as the per-draw sampler does, for
+    delta < 0, delta = 0 and delta > 0."""
+    assert _zero_word_generator(7, False).bit_generator.random_raw(9)[7] == 0
+    for params in (PamParams(2, -0.5), PamParams(2, 0.0), PamParams(2, 0.8)):
+        for position in range(40):
+            rng = _zero_word_generator(position, pending)
+            ref = _zero_word_generator(position, pending)
+            xi = generate_pam(params, 8, rng).xi
+            assert np.array_equal(xi, per_draw_pam(params, 8, ref))
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_generate_needs_pcg64():

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from ultrasmall.degrees import DegreeSequence, PowerLawSpec, sample_iid_powerlaw, fix_parity
+from ultrasmall.degrees import (
+    CmParams,
+    DegreeSequence,
+    PowerLawSpec,
+    sample_iid_powerlaw,
+    fix_parity,
+)
 from ultrasmall.cm import generate_cm
 from ultrasmall.pam import PamParams, generate_pam
 from ultrasmall.multigraph import MultiGraph
@@ -51,32 +57,28 @@ def test_census_cm_excludes_high_degree_neighbors():
     assert census_mkc(g, spec, 0).count == 4
 
 
-def naive_pam_census(graph, k):
-    """Independent re-implementation from the definition: root aged in
-    (t/2, t] with final degree m; the rest of the depth-k tree aged in
-    (t/4, t/2] with final degree m+1; explored edges form a tree."""
-    t, m = graph.t, graph.m
-    deg = graph.degrees()
-    und = graph.undirected_view()
+def naive_tree_members(graph, roots, k, admissible):
+    """Independent re-implementation from the definition: the roots whose
+    depth-k exploration is a tree of admissible vertices. A vertex's edges
+    are its neighbor list less one copy of the vertex it was reached from;
+    each must reach a fresh admissible vertex."""
     members = []
-    for v0 in range(t // 2, t):
-        if deg[v0] != m:
-            continue
+    for v0 in roots:
         seen = {v0}
-        frontier = [v0]
+        frontier = [(v0, None)]
         ok = True
         for _ in range(k):
             nxt = []
-            for u in frontier:
-                for w in und.neighbors(u).tolist():
-                    if w in seen:
-                        ok = False
-                        break
-                    if not (t // 4 < w + 1 <= t // 2 and deg[w] == m + 1):
+            for u, parent in frontier:
+                nbrs = graph.neighbors(u).tolist()
+                if parent is not None:
+                    nbrs.remove(parent)
+                for w in nbrs:
+                    if w in seen or not admissible(w):
                         ok = False
                         break
                     seen.add(w)
-                    nxt.append(w)
+                    nxt.append((w, u))
                 if not ok:
                     break
             if not ok:
@@ -87,6 +89,51 @@ def naive_pam_census(graph, k):
     return members
 
 
+def naive_cm_census(graph, d_min, k):
+    """Root and the rest of the depth-k tree of degree d_min."""
+    deg = graph.degrees.tolist()
+    roots = [v for v in range(graph.n) if deg[v] == d_min]
+    return naive_tree_members(graph, roots, k, lambda w: deg[w] == d_min)
+
+
+@pytest.mark.parametrize("d_min", [1, 2, 3])
+def test_census_cm_matches_naive(d_min):
+    """Power-law graphs (n = 400) and near-regular ones (n = 60, 85 %
+    of degrees d_min), whose balls often pass; between them they hold
+    self-loops and multi-edges."""
+    loops = multi = 0
+    for seed in range(3):
+        rng = np.random.default_rng(10 * d_min + seed)
+        near = np.where(
+            rng.random(60) < 0.85, d_min, d_min + 1 + rng.integers(3, size=60)
+        )
+        spec = PowerLawSpec(tau=2.5, d_min=d_min, n=400)
+        for seq in (sample_iid_powerlaw(spec, seed), DegreeSequence(near)):
+            g = generate_cm(fix_parity(seq), seed)
+            u, v = np.sort(g.edges(), axis=1).T
+            loops += int(np.count_nonzero(u == v))
+            pair = u[u != v] * g.n + v[u != v]
+            multi += int(np.count_nonzero(np.bincount(pair) > 1))
+            for k in range(4):
+                cen = census_mkc(g, CmParams(2.5, d_min), k)
+                assert cen.members == naive_cm_census(g, d_min, k), (seed, k)
+    assert loops > 0 and multi > 0
+
+
+def naive_pam_census(graph, k):
+    """Root aged in (t/2, t] with final degree m; the rest of the depth-k
+    tree aged in (t/4, t/2] with final degree m+1."""
+    t, m = graph.t, graph.m
+    deg = graph.degrees().tolist()
+    roots = [v for v in range(t // 2, t) if deg[v] == m]
+    return naive_tree_members(
+        graph.undirected_view(),
+        roots,
+        k,
+        lambda w: t // 4 < w + 1 <= t // 2 and deg[w] == m + 1,
+    )
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_census_pam_matches_naive(seed):
     params = PamParams(2, -0.5)
@@ -94,6 +141,17 @@ def test_census_pam_matches_naive(seed):
     for k in (0, 1, 2):
         cen = census_mkc(g, params, k)
         assert sorted(cen.members) == naive_pam_census(g, k)
+
+
+@pytest.mark.parametrize(
+    "m, delta",
+    [(2, -1.0), (2, -0.5), (2, 0.0), (2, 0.5), (1, -0.5), (1, 0.0), (1, 0.5)],
+)
+def test_census_pam_matches_naive_at_t_3000(m, delta):
+    params = PamParams(m, delta)
+    g = generate_pam(params, 3000, seed=1)
+    for k in (1, 2, 3):
+        assert census_mkc(g, params, k).members == naive_pam_census(g, k)
 
 
 def test_explore_cm_hand_graph():
@@ -157,6 +215,15 @@ def test_find_connectors_matches_bruteforce():
         if ts & A and i in ts:
             expect.append(j)
     assert res.connectors == expect
+    big = generate_pam(params, 2000, seed=14)
+    for A, i in (({1, 2, 3}, 5), ({1}, 2), (set(range(1, 500)), 700),
+                 ({999, 1000}, 1), (set(), 4)):
+        expect = []
+        for j in range(big.t // 2 + 1, big.t + 1):
+            ts = set(int(x) for x in big.xi[j - 1])
+            if ts & A and i in ts:
+                expect.append(j)
+        assert find_connectors(big, A, i).connectors == expect
     with pytest.raises(ValueError):
         find_connectors(g, {1, 30}, 5)  # 30 > t/2
     with pytest.raises(ValueError):
